@@ -33,10 +33,15 @@ _EPOCH = _dt.datetime(1980, 1, 1)
 # through 2018-06-01 00:00 inclusive give exactly that count.
 _END = _dt.datetime(2018, 6, 1)
 
+#: Every granule is named ``<prefix><YYYYMMDD_HHMM><suffix>``.
+_NAME_PREFIX = "MERRA2.inst3_3d_asm_Np."
+_NAME_SUFFIX = ".nc4"
+
 
 @dataclasses.dataclass(frozen=True)
 class GranuleInfo:
-    """One archive file."""
+    """One archive file; ``name`` embeds ``timestamp`` as
+    ``YYYYMMDD_HHMM`` (see :meth:`MerraArchive.granule`)."""
 
     index: int
     name: str
@@ -44,10 +49,14 @@ class GranuleInfo:
     full_bytes: float
     subset_bytes: float
 
+    @property
+    def stamp(self) -> str:
+        """The ``YYYYMMDD_HHMM`` timestamp, as embedded in ``name``."""
+        return self.name[len(_NAME_PREFIX) : -len(_NAME_SUFFIX)]
+
     def url(self, server: str = "thredds") -> str:
         """The THREDDS fileServer URL of this granule."""
-        stamp = self.timestamp.strftime("%Y%m%d_%H%M")
-        return f"https://{server}/fileServer/MERRA2/M2I3NPASM/{stamp}/{self.name}"
+        return f"https://{server}/fileServer/MERRA2/M2I3NPASM/{self.stamp}/{self.name}"
 
 
 class MerraArchive:
@@ -78,6 +87,8 @@ class MerraArchive:
         jitter *= self.n_files / jitter.sum()  # renormalize so totals are exact
         self._full_sizes = jitter * (self.total_full_bytes / self.n_files)
         self._subset_sizes = jitter * (self.total_subset_bytes / self.n_files)
+        #: the last day :meth:`granule` formatted: (day, midnight, YYYYMMDD)
+        self._day: tuple[int, _dt.datetime, str] = (-1, _EPOCH, "")
 
     @property
     def calendar_exact(self) -> bool:
@@ -91,12 +102,17 @@ class MerraArchive:
         """The ``index``-th granule (0-based, time-ordered)."""
         if not 0 <= index < self.n_files:
             raise IndexError(f"granule index {index} out of range")
-        ts = _EPOCH + _dt.timedelta(hours=3 * index)
-        name = f"MERRA2.inst3_3d_asm_Np.{ts.strftime('%Y%m%d_%H%M')}.nc4"
+        # Eight 3-hourly granules a day: the date is formatted once per
+        # day, and granules are mostly asked for in time order.
+        day, slot = divmod(index, 8)
+        if self._day[0] != day:
+            midnight = _EPOCH + _dt.timedelta(days=day)
+            self._day = (day, midnight, midnight.strftime("%Y%m%d"))
+        _day, midnight, ymd = self._day
         return GranuleInfo(
             index=index,
-            name=name,
-            timestamp=ts,
+            name=f"{_NAME_PREFIX}{ymd}_{3 * slot:02d}00{_NAME_SUFFIX}",
+            timestamp=midnight + _dt.timedelta(hours=3 * slot),
             full_bytes=float(self._full_sizes[index]),
             subset_bytes=float(self._subset_sizes[index]),
         )

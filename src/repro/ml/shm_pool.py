@@ -163,13 +163,16 @@ def _worker_main(
     # Decided once, at startup: a worker that did NOT inherit the
     # parent's tracker will lazily start its own on first attach.
     own_tracker = not _tracker_running()
+    crash_armed = False
     try:
         while True:
             message = task_queue.get()
             if message is None:  # shutdown sentinel
                 break
-            kind = message[0]
-            if kind == "crash":  # test hook: simulate a hard worker death
+            if message[0] == "crash":  # test hook, see inject_crash
+                crash_armed = True
+                continue
+            if crash_armed:  # a hard death with this shard in flight
                 os._exit(17)
             (_, generation, volume_ref, labels_ref, spec, options) = message
             try:
@@ -303,7 +306,8 @@ class SharedMemoryPool:
         ]
 
     def inject_crash(self, worker_index: int) -> None:
-        """Test hook: make one worker die hard on its next dequeue."""
+        """Test hook: make one worker die hard on receiving its next
+        segment task, so that task's shard is in flight when it dies."""
         self._task_queues[worker_index].put(("crash",))
 
     def segment_shards(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import typing as _t
 
-from repro.monitoring.metrics import Labels, MetricRegistry
+from repro.monitoring.metrics import Labels, MetricRegistry, TimeSeries
 from repro.sim import Environment
 
 __all__ = ["Sampler"]
@@ -18,7 +18,9 @@ class Sampler:
     state exactly the way Prometheus scrapes an exporter.
 
     Probes that raise are skipped for that scrape (a target being briefly
-    down must not kill monitoring).
+    down must not kill monitoring).  A probe's series is looked up in the
+    registry once, at its first successful scrape, and appended to
+    directly from then on.
     """
 
     def __init__(
@@ -32,7 +34,7 @@ class Sampler:
         self.env = env
         self.registry = registry
         self.interval = interval
-        self._probes: list[tuple[str, tuple, _t.Callable[[], float]]] = []
+        self._probes: list[_Probe] = []
         self._proc = env.process(self._loop(), name="metrics-sampler")
         self.scrapes = 0
 
@@ -43,15 +45,30 @@ class Sampler:
         labels: Labels | None = None,
     ) -> None:
         """Register a gauge probe."""
-        self._probes.append((name, tuple(sorted((labels or {}).items())), fn))
+        self._probes.append(_Probe(name, dict(labels or {}), fn))
 
     def _loop(self):
         while True:
-            for name, label_items, fn in self._probes:
+            now = self.registry.env.now
+            for probe in self._probes:
                 try:
-                    value = float(fn())
+                    value = float(probe.fn())
                 except Exception:
                     continue  # scrape failure: skip this sample
-                self.registry.set_gauge(name, value, dict(label_items))
+                if probe.series is None:
+                    probe.series = self.registry.series(probe.name, probe.labels)
+                probe.series.append(now, value)
             self.scrapes += 1
             yield self.env.timeout(self.interval)
+
+
+class _Probe:
+    """One registered probe and, once it has scraped, its series."""
+
+    __slots__ = ("name", "labels", "fn", "series")
+
+    def __init__(self, name: str, labels: dict[str, str], fn: _t.Callable[[], float]):
+        self.name = name
+        self.labels = labels
+        self.fn = fn
+        self.series: TimeSeries | None = None

@@ -120,51 +120,63 @@ def max_min_rates(flows: _t.Sequence[Flow]) -> dict[Flow, float]:
     Returns the fair rate for every flow.  Flows with an empty resource
     list are unconstrained (rate ``inf`` — local copies); flows crossing
     a ``blocked`` resource are stalled at rate 0.
+
+    Flows on one path (the same ``resources`` tuple) always get the same
+    rate, so the filling runs over paths, each weighing on its resources
+    by the number of flows on it.  Every round adds the same increment
+    to a running ``level``; a path's rate is the level when one of its
+    resources saturates.
     """
-    rates: dict[Flow, float] = {}
-    active: set[Flow] = set()
+    inf = float("inf")
+    counts: dict[tuple[CapacityResource, ...], int] = {}
     for flow in flows:
-        if any(res.blocked for res in flow.resources):
-            rates[flow] = 0.0
-        elif flow.resources:
-            active.add(flow)
-            rates[flow] = 0.0
+        counts[flow.resources] = counts.get(flow.resources, 0) + 1
+
+    path_rates: dict[tuple[CapacityResource, ...], float] = {}
+    #: unfrozen path -> its resources, each once
+    active: dict[tuple[CapacityResource, ...], tuple[CapacityResource, ...]] = {}
+    #: resource -> flows on its unfrozen paths
+    users: dict[CapacityResource, int] = {}
+    #: resource -> every path crossing it
+    crossing: dict[CapacityResource, list[tuple[CapacityResource, ...]]] = {}
+    for path, n in counts.items():
+        if not path:
+            path_rates[path] = inf
+        elif any(res.blocked for res in path):
+            path_rates[path] = 0.0
         else:
-            rates[flow] = float("inf")
+            distinct = tuple(dict.fromkeys(path))
+            active[path] = distinct
+            for res in distinct:
+                users[res] = users.get(res, 0) + n
+                crossing.setdefault(res, []).append(path)
 
-    cap_left: dict[CapacityResource, float] = {}
-    users: dict[CapacityResource, set[Flow]] = {}
-    for flow in active:
-        for res in flow.resources:
-            cap_left.setdefault(res, res.capacity)
-            users.setdefault(res, set()).add(flow)
-
+    cap_left = {res: res.capacity for res in users}
+    level = 0.0
     while active:
         # Uniform increment until the tightest resource saturates.
-        inc = min(
-            cap_left[res] / len(members)
-            for res, members in users.items()
-            if members
-        )
-        for flow in active:
-            rates[flow] += inc
+        inc = min(cap_left[res] / n for res, n in users.items() if n)
+        level += inc
         saturated: list[CapacityResource] = []
-        for res, members in users.items():
-            if not members:
+        for res, n in users.items():
+            if not n:
                 continue
-            cap_left[res] -= inc * len(members)
+            cap_left[res] -= inc * n
             if cap_left[res] <= 1e-9 * res.capacity:
                 saturated.append(res)
         if not saturated:  # pragma: no cover - numerical guard
             break
-        frozen: set[Flow] = set()
         for res in saturated:
-            frozen |= users[res]
-        for flow in frozen & active:
-            active.discard(flow)
-            for res in flow.resources:
-                users[res].discard(flow)
-    return rates
+            for path in crossing[res]:
+                distinct = active.pop(path, None)
+                if distinct is None:
+                    continue
+                path_rates[path] = level
+                for other in distinct:
+                    users[other] -= counts[path]
+    for path in active:  # only after the numerical guard
+        path_rates[path] = level
+    return {flow: path_rates[flow.resources] for flow in flows}
 
 
 class FlowSimulator:
@@ -177,11 +189,14 @@ class FlowSimulator:
 
     The engine re-plans rates whenever a flow starts or completes, and
     refreshes every touched resource's ``allocated_rate`` for monitoring.
+    Flows are kept in start order, so flows finishing at the same instant
+    fire their events in the order they started.
     """
 
     def __init__(self, env: Environment):
         self.env = env
-        self._flows: set[Flow] = set()
+        #: in-flight flows in start order (a dict used as an ordered set)
+        self._flows: dict[Flow, None] = {}
         self._handles: dict[Event, Flow] = {}
         self._wake: Event | None = None
         self._proc = env.process(self._coordinator(), name="flowsim")
@@ -221,7 +236,7 @@ class FlowSimulator:
 
         flow_done = self.env.event()
         flow = Flow(name, resources, nbytes, flow_done, self.env.now)
-        self._flows.add(flow)
+        self._flows[flow] = None
         if self.tracer is not None:
             self._flow_spans[flow.id] = self.tracer.start(
                 name or f"flow-{flow.id}",
@@ -262,13 +277,10 @@ class FlowSimulator:
         flow = self._handles.pop(handle, None)
         if flow is None or flow not in self._flows:
             return False
-        self._flows.discard(flow)
+        del self._flows[flow]
         self.cancelled_count += 1
         self._finish_flow_span(flow, status="error")
-        for res in flow.resources:
-            res.allocated_rate = sum(
-                f.rate for f in self._flows if res in f.resources
-            )
+        self._refresh_allocated(flow.resources)
         if not flow.event.triggered:
             flow.event.defuse()
             flow.event.fail(
@@ -311,28 +323,47 @@ class FlowSimulator:
         if self._wake is not None and not self._wake.triggered:
             self._wake.succeed()
 
+    def _rate_sums(
+        self, resources: _t.Iterable[CapacityResource]
+    ) -> dict[CapacityResource, float]:
+        """Aggregate rate through each of ``resources``.
+
+        One pass over the flows collects each resource's flow rates in
+        flow order, then ``sum()`` adds them up: the same values in the
+        same order as summing per resource over every flow.
+        """
+        per_res: dict[CapacityResource, list[float]] = {res: [] for res in resources}
+        for flow in self._flows:
+            for res in dict.fromkeys(flow.resources):
+                rates = per_res.get(res)
+                if rates is not None:
+                    rates.append(flow.rate)
+        return {res: float(sum(rates)) for res, rates in per_res.items()}
+
+    def _refresh_allocated(self, resources: _t.Iterable[CapacityResource]) -> None:
+        for res, rate in self._rate_sums(resources).items():
+            res.allocated_rate = rate
+
     def _recompute(self) -> None:
         rates = max_min_rates(list(self._flows))
-        touched: set[CapacityResource] = set()
+        # Set every flow's rate and collect each touched resource's rates
+        # in the same pass; summed as in `_rate_sums`.
+        per_res: dict[CapacityResource, list[float]] = {}
         for flow in self._flows:
-            flow.rate = rates[flow]
-            touched |= set(flow.resources)
-        for res in touched:
-            res.allocated_rate = sum(
-                f.rate for f in self._flows if res in f.resources
-            )
+            flow.rate = rate = rates[flow]
+            for res in dict.fromkeys(flow.resources):
+                per_res.setdefault(res, []).append(rate)
+        for res, res_rates in per_res.items():
+            res.allocated_rate = float(sum(res_rates))
         # Resources no longer used by any flow decay to zero lazily: they
         # are refreshed the next time a flow touches them; callers sampling
         # utilization should prefer `sample_rates`.
 
     def sample_rates(self, resources: _t.Iterable[CapacityResource]) -> dict[str, float]:
         """Accurate instantaneous rates for ``resources`` (monitoring API)."""
-        out = {}
-        for res in resources:
-            out[res.name] = sum(
-                f.rate for f in self._flows if res in f.resources
-            )
-        return out
+        return {
+            res.name: rate for res, rate in self._rate_sums(resources).items()
+        }
 
     def _coordinator(self):
         while True:
@@ -365,7 +396,7 @@ class FlowSimulator:
                 ):
                     finished.append(flow)
             for flow in finished:
-                self._flows.remove(flow)
+                del self._flows[flow]
                 self._handles.pop(flow.handle, None)
                 self.completed_count += 1
                 self.bytes_moved += flow.nbytes
@@ -373,10 +404,6 @@ class FlowSimulator:
                 flow.event.succeed(flow)
             if finished:
                 # Zero out rates on now-idle resources for clean sampling.
-                idle: set[CapacityResource] = set()
-                for flow in finished:
-                    idle |= set(flow.resources)
-                for res in idle:
-                    res.allocated_rate = sum(
-                        f.rate for f in self._flows if res in f.resources
-                    )
+                self._refresh_allocated(
+                    res for flow in finished for res in flow.resources
+                )

@@ -65,6 +65,10 @@ class Topology:
     link's capacity resource, so a transfer is limited by the tightest of
     NIC, access, and WAN hops — exactly the Science-DMZ behaviour of
     "simple, scalable networks" the paper builds on.
+
+    Routes are memoised per ``(src, dst)``; every method that changes
+    the graph (adding a site, link or host, failing or restoring a link)
+    clears the memo.
     """
 
     def __init__(self) -> None:
@@ -72,6 +76,7 @@ class Topology:
         self.sites: dict[str, Site] = {}
         self.links: dict[frozenset, Link] = {}
         self.hosts: dict[str, str] = {}  # host -> site
+        self._routes: dict[tuple[str, str], list[Link]] = {}
 
     # -- construction ----------------------------------------------------------
 
@@ -81,6 +86,7 @@ class Topology:
         site = Site(name, tier)
         self.sites[name] = site
         self._graph.add_node(name, kind="site")
+        self._routes.clear()
         return site
 
     def add_link(
@@ -95,6 +101,7 @@ class Topology:
             raise NetworkError(f"duplicate link {a}<->{b}")
         self.links[link.key] = link
         self._graph.add_edge(a, b, link=link, weight=latency_s)
+        self._routes.clear()
         return link
 
     def attach_host(self, hostname: str, site: str, nic_gbps: float = 10.0) -> None:
@@ -108,6 +115,7 @@ class Topology:
         link = Link(hostname, site, nic_gbps, latency_s=0.0001)
         self.links[link.key] = link
         self._graph.add_edge(hostname, site, link=link, weight=0.0001)
+        self._routes.clear()
 
     # -- queries -----------------------------------------------------------------
 
@@ -139,6 +147,7 @@ class Topology:
         link.up = False
         link.resource.blocked = True
         self._graph.remove_edge(a, b)
+        self._routes.clear()
 
     def restore_link(self, a: str, b: str) -> None:
         """Bring a failed link back into the routing graph."""
@@ -148,6 +157,7 @@ class Topology:
         link.up = True
         link.resource.blocked = False
         self._graph.add_edge(a, b, link=link, weight=link.latency_s)
+        self._routes.clear()
 
     def reachable(self, src: str, dst: str) -> bool:
         """True when a route currently exists between two endpoints."""
@@ -169,16 +179,23 @@ class Topology:
         )
 
     def route(self, src: str, dst: str) -> list[Link]:
-        """Latency-shortest path between two hosts or sites (up links only)."""
+        """Latency-shortest path between two hosts or sites (up links only).
+
+        Returns a fresh list; the memoised route is never handed out.
+        """
         if src == dst:
             return []
-        try:
-            nodes = nx.shortest_path(self._graph, src, dst, weight="weight")
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
-            raise NoRouteError(f"no route {src!r} -> {dst!r}") from None
-        return [
-            self.links[frozenset((u, v))] for u, v in zip(nodes, nodes[1:])
-        ]
+        links = self._routes.get((src, dst))
+        if links is None:
+            try:
+                nodes = nx.shortest_path(self._graph, src, dst, weight="weight")
+            except (nx.NetworkXNoPath, nx.NodeNotFound):
+                raise NoRouteError(f"no route {src!r} -> {dst!r}") from None
+            links = [
+                self.links[frozenset((u, v))] for u, v in zip(nodes, nodes[1:])
+            ]
+            self._routes[(src, dst)] = links
+        return list(links)
 
     def path_resources(self, src: str, dst: str) -> list[CapacityResource]:
         """Capacity resources along the route (what a flow must share)."""

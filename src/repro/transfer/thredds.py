@@ -107,27 +107,37 @@ class ThreddsServer:
         :data:`SUBSET_VARIABLES` fetches only those fields' bytes.
         """
         self._maybe_fail(f"resolve({index})")
-        return self._resolve_one(index, variables)
+        return self._resolve_one(index, *self._subset_terms(variables))
+
+    def _subset_terms(
+        self, variables: _t.Sequence[str] | None
+    ) -> tuple[tuple[str, ...] | None, float | None]:
+        """Validated ``(variables, byte fraction)`` of a subset request;
+        ``(None, None)`` for a whole-file request."""
+        if variables is None:
+            return None, None
+        unknown = set(variables) - set(self.SUBSET_VARIABLES)
+        if unknown:
+            raise TransferError(
+                f"subset service cannot extract {sorted(unknown)}; "
+                f"available: {self.SUBSET_VARIABLES}"
+            )
+        # The catalog's subset size covers all three IVT variables;
+        # fewer variables scale proportionally.
+        fraction = len(set(variables)) / len(self.SUBSET_VARIABLES)
+        return tuple(variables), fraction
 
     def _resolve_one(
-        self, index: int, variables: _t.Sequence[str] | None = None
+        self,
+        index: int,
+        vars_tuple: tuple[str, ...] | None,
+        fraction: float | None,
     ) -> SubsetRequest:
         granule = self.archive.granule(index)
-        if variables is None:
+        if fraction is None:
             nbytes = granule.full_bytes
-            vars_tuple = None
         else:
-            unknown = set(variables) - set(self.SUBSET_VARIABLES)
-            if unknown:
-                raise TransferError(
-                    f"subset service cannot extract {sorted(unknown)}; "
-                    f"available: {self.SUBSET_VARIABLES}"
-                )
-            # The catalog's subset size covers all three IVT variables;
-            # fewer variables scale proportionally.
-            fraction = len(set(variables)) / len(self.SUBSET_VARIABLES)
             nbytes = granule.subset_bytes * fraction
-            vars_tuple = tuple(variables)
         self.requests_served += 1
         self.bytes_served += nbytes
         return SubsetRequest(
@@ -146,7 +156,10 @@ class ThreddsServer:
         the whole chunk, not per granule.
         """
         self._maybe_fail(f"resolve_many({len(indices)} granules)")
-        return [self._resolve_one(i, variables) for i in indices]
+        if not indices:
+            return []
+        terms = self._subset_terms(variables)
+        return [self._resolve_one(i, *terms) for i in indices]
 
     # -- content service ------------------------------------------------------------
 
@@ -170,13 +183,8 @@ class ThreddsServer:
         if variables is None:
             self.bytes_served += granule.nbytes
             return granule
-        unknown = set(variables) - set(self.SUBSET_VARIABLES)
-        if unknown:
-            raise TransferError(
-                f"subset service cannot extract {sorted(unknown)}; "
-                f"available: {self.SUBSET_VARIABLES}"
-            )
-        subset = granule.subset(list(variables))
+        vars_tuple, _fraction = self._subset_terms(variables)
+        subset = granule.subset(list(vars_tuple))
         self.bytes_served += subset.nbytes
         return subset
 

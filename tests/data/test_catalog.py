@@ -56,6 +56,23 @@ class TestMerraArchive:
         g = MerraArchive(n_files=1).granule(0)
         assert "M2I3NPASM" in g.url()
 
+    def test_names_and_urls_match_strftime_in_any_order(self):
+        """The per-day date memo must not leak one day's date into
+        another, whatever order granules are asked for in."""
+        archive = MerraArchive()
+        epoch = datetime.datetime(1980, 1, 1)
+        order = [0, 7, 8, 15, 16, 5, 112_248, 9, 8, 56_000, 55_999, 1, 0]
+        for index in order:
+            g = archive.granule(index)
+            ts = epoch + datetime.timedelta(hours=3 * index)
+            stamp = ts.strftime("%Y%m%d_%H%M")
+            assert g.timestamp == ts
+            assert g.stamp == stamp
+            assert g.name == f"MERRA2.inst3_3d_asm_Np.{stamp}.nc4"
+            assert g.url("dtn") == (
+                f"https://dtn/fileServer/MERRA2/M2I3NPASM/{stamp}/{g.name}"
+            )
+
     def test_index_bounds(self):
         archive = MerraArchive(n_files=10)
         with pytest.raises(IndexError):

@@ -12,6 +12,7 @@ The pool's contract has three legs:
 """
 
 import glob
+import time
 
 import numpy as np
 import pytest
@@ -98,6 +99,10 @@ class TestCrashRecovery:
         )
         with SharedMemoryPool(model, n_workers=2) as pool:
             pool.inject_crash(0)
+            # Give worker 0 time to dequeue the crash order: it must stay
+            # alive until it is handed a shard, then die with it in flight.
+            time.sleep(0.3)
+            assert pool.live_workers() == [0, 1]
             out, _ = distributed_segment(
                 model, volume, n_workers=4, halo=2, max_workers=2, pool=pool
             )

@@ -93,6 +93,32 @@ class TestSampler:
         with pytest.raises(ValueError):
             Sampler(env, registry, interval=0)
 
+    def test_series_bound_at_first_successful_scrape(self, env, registry):
+        state = {"up": False}
+
+        def flaky():
+            if not state["up"]:
+                raise RuntimeError("target down")
+            return 2.0
+
+        sampler = Sampler(env, registry, interval=5)
+        sampler.add_probe("node_cpu_allocated", flaky, {"node": "a", "b": "x"})
+
+        def heal(env):
+            yield env.timeout(7)
+            assert registry.names() == []
+            state["up"] = True
+
+        env.process(heal(env))
+        env.run(until=20)
+        # The legacy name resolved to its canonical series, and a write
+        # through the registry lands in the same series as the probe's.
+        ts = registry.get("node_cpu_allocated_cores", {"b": "x", "node": "a"})
+        assert ts.times == [10, 15, 20]
+        registry.set_gauge("node_cpu_allocated", 4.0, {"node": "a", "b": "x"})
+        assert ts.values == [2.0, 2.0, 2.0, 4.0]
+        assert registry.names() == ["node_cpu_allocated_cores"]
+
 
 class TestPromql:
     def _series(self, registry, pts, name="m", labels=None):

@@ -152,6 +152,25 @@ class TestFlowSimulator:
         assert sim.sample_rates([link])["l"] == pytest.approx(100.0)
         assert link.utilization == pytest.approx(1.0)
 
+    def test_idle_sample_is_float_zero(self, env, sim):
+        busy = CapacityResource("busy", 100.0)
+        idle = CapacityResource("idle", 100.0)
+        sim.transfer([busy], 10_000.0)
+        env.run(until=1.0)
+        rates = sim.sample_rates([busy, idle])
+        assert rates == {"busy": 100.0, "idle": 0.0}
+        assert type(rates["idle"]) is float
+
+    def test_tied_completions_fire_in_start_order(self, env, sim):
+        link = CapacityResource("l", 100.0)
+        order = []
+        for i in range(8):
+            sim.transfer([link], 100.0, name=f"f{i}").callbacks.append(
+                lambda event, i=i: order.append(i)
+            )
+        env.run(until=100)
+        assert order == list(range(8))
+
     def test_counters(self, env, sim):
         link = CapacityResource("l", 100.0)
         sim.transfer([link], 100.0)

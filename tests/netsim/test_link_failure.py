@@ -77,3 +77,59 @@ class TestFailRestore:
         direct = ring.path_latency("A", "B")
         ring.fail_link("A", "B")
         assert ring.path_latency("A", "B") > direct
+
+
+class TestRouteMemo:
+    """Routes are memoised; every graph change must invalidate them."""
+
+    def test_memoised_route_avoids_failed_link(self, ring):
+        direct = ring.route("A", "B")  # fills the memo
+        ab = ring.get_link("A", "B")
+        assert direct == [ab]
+        ring.fail_link("A", "B")
+        detour = ring.route("A", "B")
+        assert ab not in detour
+        assert len(detour) == 3
+
+    def test_restored_link_is_used_again(self, ring):
+        ring.fail_link("A", "B")
+        assert len(ring.route("A", "B")) == 3  # memoises the detour
+        ring.restore_link("A", "B")
+        assert ring.route("A", "B") == [ring.get_link("A", "B")]
+
+    def test_partition_raises_then_heals(self, ring):
+        before = ring.route("A", "C")
+        ring.fail_link("A", "B")
+        ring.fail_link("D", "A")
+        with pytest.raises(NoRouteError):
+            ring.route("A", "C")
+        assert not ring.reachable("A", "C")
+        ring.restore_link("D", "A")
+        healed = ring.route("A", "C")
+        assert [link.key for link in healed] == [
+            frozenset("AD"),
+            frozenset("DC"),
+        ]
+        ring.restore_link("A", "B")
+        assert len(ring.route("A", "C")) == len(before) == 2
+
+    def test_new_link_and_host_invalidate(self, ring):
+        assert len(ring.route("A", "C")) == 2
+        ring.add_link("A", "C", 10.0, latency_s=0.0005)
+        assert ring.route("A", "C") == [ring.get_link("A", "C")]
+        ring.add_site("E")
+        ring.add_link("E", "C", 10.0, latency_s=0.001)
+        ring.attach_host("he", "E")
+        assert [link.key for link in ring.route("he", "A")] == [
+            frozenset(("he", "E")),
+            frozenset("EC"),
+            frozenset("CA"),
+        ]
+
+    def test_returned_list_is_a_copy(self, ring):
+        first = ring.route("A", "C")
+        first.clear()
+        first.append(ring.get_link("A", "B"))
+        again = ring.route("A", "C")
+        assert len(again) == 2
+        assert again is not ring.route("A", "C")

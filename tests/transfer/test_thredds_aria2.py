@@ -49,6 +49,23 @@ class TestThredds:
         with pytest.raises(TransferError):
             server.resolve(0, variables=("GHOST",))
 
+    @pytest.mark.parametrize("variables", [None, ("QV",), ("U", "V", "QV")])
+    def test_resolve_many_matches_resolve(self, archive, variables):
+        one = ThreddsServer(archive, host="its-dtn-02")
+        many = ThreddsServer(archive, host="its-dtn-02")
+        indices = [3, 4, 97, 0]
+        assert many.resolve_many(indices, variables) == [
+            one.resolve(i, variables) for i in indices
+        ]
+        assert many.requests_served == one.requests_served == 4
+        assert many.bytes_served == one.bytes_served
+
+    def test_resolve_many_rejects_unknown_variable(self, server):
+        with pytest.raises(TransferError):
+            server.resolve_many([0, 1], variables=("U", "GHOST"))
+        assert server.requests_served == 0
+        assert server.resolve_many([], variables=("GHOST",)) == []
+
     def test_catalog_paging(self, server):
         page = server.catalog_page(90, 20)
         assert len(page) == 10  # truncated at the archive end
