@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import typing as _t
-
-import networkx as nx
 
 from repro.errors import NetworkError, NoRouteError
 from repro.netsim.flows import CapacityResource
@@ -66,13 +65,15 @@ class Topology:
     NIC, access, and WAN hops — exactly the Science-DMZ behaviour of
     "simple, scalable networks" the paper builds on.
 
+    A route is the least-latency path over the links that are up.  Ties
+    go to the route with fewer hops, then to the lexicographically
+    smallest sequence of node names, so routing is deterministic.
     Routes are memoised per ``(src, dst)``; every method that changes
     the graph (adding a site, link or host, failing or restoring a link)
     clears the memo.
     """
 
     def __init__(self) -> None:
-        self._graph = nx.Graph()
         self.sites: dict[str, Site] = {}
         self.links: dict[frozenset, Link] = {}
         self.hosts: dict[str, str] = {}  # host -> site
@@ -85,7 +86,6 @@ class Topology:
             raise NetworkError(f"site {name!r} already exists")
         site = Site(name, tier)
         self.sites[name] = site
-        self._graph.add_node(name, kind="site")
         self._routes.clear()
         return site
 
@@ -100,7 +100,6 @@ class Topology:
         if link.key in self.links:
             raise NetworkError(f"duplicate link {a}<->{b}")
         self.links[link.key] = link
-        self._graph.add_edge(a, b, link=link, weight=latency_s)
         self._routes.clear()
         return link
 
@@ -111,10 +110,8 @@ class Topology:
         if hostname in self.hosts:
             raise NetworkError(f"host {hostname!r} already attached")
         self.hosts[hostname] = site
-        self._graph.add_node(hostname, kind="host")
         link = Link(hostname, site, nic_gbps, latency_s=0.0001)
         self.links[link.key] = link
-        self._graph.add_edge(hostname, site, link=link, weight=0.0001)
         self._routes.clear()
 
     # -- queries -----------------------------------------------------------------
@@ -146,7 +143,6 @@ class Topology:
             return
         link.up = False
         link.resource.blocked = True
-        self._graph.remove_edge(a, b)
         self._routes.clear()
 
     def restore_link(self, a: str, b: str) -> None:
@@ -156,7 +152,6 @@ class Topology:
             return
         link.up = True
         link.resource.blocked = False
-        self._graph.add_edge(a, b, link=link, weight=link.latency_s)
         self._routes.clear()
 
     def reachable(self, src: str, dst: str) -> bool:
@@ -187,15 +182,34 @@ class Topology:
             return []
         links = self._routes.get((src, dst))
         if links is None:
-            try:
-                nodes = nx.shortest_path(self._graph, src, dst, weight="weight")
-            except (nx.NetworkXNoPath, nx.NodeNotFound):
-                raise NoRouteError(f"no route {src!r} -> {dst!r}") from None
-            links = [
-                self.links[frozenset((u, v))] for u, v in zip(nodes, nodes[1:])
-            ]
+            links = self._search(src, dst)
             self._routes[(src, dst)] = links
         return list(links)
+
+    def _search(self, src: str, dst: str) -> list[Link]:
+        """Dijkstra over the up links, ordered by (latency, hops, names)."""
+        neighbours: dict[str, list[Link]] = {}
+        for link in self.links.values():
+            if link.up:
+                neighbours.setdefault(link.a, []).append(link)
+                neighbours.setdefault(link.b, []).append(link)
+        settled: set[str] = set()
+        heap: list[tuple[float, int, tuple[str, ...]]] = [(0.0, 0, (src,))]
+        while heap:
+            latency, hops, nodes = heapq.heappop(heap)
+            node = nodes[-1]
+            if node == dst:
+                return [self.links[frozenset(hop)] for hop in zip(nodes, nodes[1:])]
+            if node in settled:
+                continue
+            settled.add(node)
+            for link in neighbours.get(node, ()):
+                nxt = link.b if link.a == node else link.a
+                if nxt not in settled:
+                    heapq.heappush(
+                        heap, (latency + link.latency_s, hops + 1, nodes + (nxt,))
+                    )
+        raise NoRouteError(f"no route {src!r} -> {dst!r}")
 
     def path_resources(self, src: str, dst: str) -> list[CapacityResource]:
         """Capacity resources along the route (what a flow must share)."""

@@ -3,8 +3,8 @@
 One import surface for everything a run can tell you about itself:
 
 - :mod:`repro.obs.metrics` — the Prometheus-like side: registry, sampler,
-  promql, Grafana-like dashboards, alerts, metric-name aliases, and the
-  ML segmentation scores.
+  promql, Grafana-like dashboards, alerts, and the ML segmentation
+  scores.
 - :mod:`repro.obs.tracing` — the span side: tracer, span-tree validation,
   critical-path analysis, Chrome-trace / metric exporters.
 - :mod:`repro.obs.reports` — step/workflow reports and their stable
@@ -12,12 +12,9 @@ One import surface for everything a run can tell you about itself:
 
 The most common names are re-exported here, so
 ``from repro.obs import Tracer, MetricRegistry, analyze_run`` just works.
-The legacy paths (``repro.monitoring`` package-level imports,
-``repro.ml.metrics``) still resolve but emit ``DeprecationWarning``.
 """
 
 from repro.obs.metrics import (
-    METRIC_ALIASES,
     Alert,
     AlertManager,
     AlertRule,
@@ -28,7 +25,6 @@ from repro.obs.metrics import (
     Sampler,
     SegmentationScores,
     TimeSeries,
-    canonical_metric_name,
     promql,
     voxel_metrics,
 )
@@ -55,7 +51,6 @@ from repro.obs.tracing import (
 
 __all__ = [
     # metrics
-    "METRIC_ALIASES",
     "Alert",
     "AlertManager",
     "AlertRule",
@@ -66,7 +61,6 @@ __all__ = [
     "Sampler",
     "SegmentationScores",
     "TimeSeries",
-    "canonical_metric_name",
     "promql",
     "voxel_metrics",
     # tracing

@@ -1,9 +1,9 @@
 """Metrics side of the :mod:`repro.obs` facade.
 
 Canonical home for the registry/sampler/promql/dashboard/alert stack
-(previously imported from the ``repro.monitoring`` package root) and the
-ML segmentation scores (previously ``repro.ml.metrics``).  Everything
-here is a re-export; the implementations stay where they are.
+(implemented in the ``repro.monitoring`` submodules) and the ML
+segmentation scores (implemented in ``repro.ml.segmetrics``).
+Everything here is a re-export.
 """
 
 from repro.ml.segmetrics import (
@@ -14,17 +14,11 @@ from repro.ml.segmetrics import (
 )
 from repro.monitoring.alerts import Alert, AlertManager, AlertRule, AlertState
 from repro.monitoring.grafana import Dashboard, Panel, sparkline
-from repro.monitoring.metrics import (
-    METRIC_ALIASES,
-    MetricRegistry,
-    TimeSeries,
-    canonical_metric_name,
-)
+from repro.monitoring.metrics import MetricRegistry, TimeSeries
 from repro.monitoring.sampler import Sampler
 import repro.monitoring.promql as promql
 
 __all__ = [
-    "METRIC_ALIASES",
     "Alert",
     "AlertManager",
     "AlertRule",
@@ -36,7 +30,6 @@ __all__ = [
     "SegmentationScores",
     "TimeSeries",
     "adapted_rand_error",
-    "canonical_metric_name",
     "object_level_metrics",
     "promql",
     "sparkline",

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.monitoring import MetricRegistry
+from repro.obs.metrics import MetricRegistry
 from repro.monitoring.alerts import (
     AlertManager,
     AlertRule,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.monitoring import Dashboard, MetricRegistry, Panel, Sampler, promql
+from repro.obs.metrics import Dashboard, MetricRegistry, Panel, Sampler, promql
 from repro.monitoring.grafana import sparkline
 from repro.sim import Environment
 
@@ -102,7 +102,7 @@ class TestSampler:
             return 2.0
 
         sampler = Sampler(env, registry, interval=5)
-        sampler.add_probe("node_cpu_allocated", flaky, {"node": "a", "b": "x"})
+        sampler.add_probe("node_cpu_allocated_cores", flaky, {"node": "a", "b": "x"})
 
         def heal(env):
             yield env.timeout(7)
@@ -111,11 +111,11 @@ class TestSampler:
 
         env.process(heal(env))
         env.run(until=20)
-        # The legacy name resolved to its canonical series, and a write
-        # through the registry lands in the same series as the probe's.
+        # A write through the registry lands in the same series as the
+        # probe's.
         ts = registry.get("node_cpu_allocated_cores", {"b": "x", "node": "a"})
         assert ts.times == [10, 15, 20]
-        registry.set_gauge("node_cpu_allocated", 4.0, {"node": "a", "b": "x"})
+        registry.set_gauge("node_cpu_allocated_cores", 4.0, {"node": "a", "b": "x"})
         assert ts.values == [2.0, 2.0, 2.0, 4.0]
         assert registry.names() == ["node_cpu_allocated_cores"]
 

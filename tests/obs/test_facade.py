@@ -1,6 +1,7 @@
-"""The repro.obs facade and the deprecation shims behind it."""
+"""The repro.obs facade, and the old import paths it replaced."""
 
 import importlib
+import importlib.util
 import warnings
 
 import pytest
@@ -43,22 +44,26 @@ def test_facade_imports_are_warning_free():
         importlib.reload(repro.obs.reports)
 
 
-def test_old_monitoring_package_path_warns():
+def test_monitoring_package_root_exports_nothing():
     import repro.monitoring
 
-    with pytest.warns(DeprecationWarning, match="repro.obs.metrics"):
-        registry_cls = repro.monitoring.MetricRegistry
-    assert registry_cls is repro.obs.MetricRegistry
-    with pytest.warns(DeprecationWarning):
+    assert not hasattr(repro.monitoring, "MetricRegistry")
+    with pytest.raises(ImportError):
         from repro.monitoring import Dashboard  # noqa: F401
 
 
-def test_old_monitoring_names_all_resolve():
-    import repro.monitoring
+def test_old_monitoring_names_all_resolve_from_obs():
+    from repro.monitoring import alerts, grafana, metrics, promql, sampler
 
-    with pytest.warns(DeprecationWarning):
-        for name in repro.monitoring.__all__:
-            assert getattr(repro.monitoring, name) is not None
+    homes = {
+        "MetricRegistry": metrics, "TimeSeries": metrics,
+        "Sampler": sampler, "Dashboard": grafana, "Panel": grafana,
+        "Alert": alerts, "AlertManager": alerts, "AlertRule": alerts,
+        "AlertState": alerts,
+    }
+    for name, module in homes.items():
+        assert getattr(repro.obs.metrics, name) is getattr(module, name), name
+    assert repro.obs.metrics.promql is promql
 
 
 def test_monitoring_submodule_imports_stay_silent():
@@ -69,14 +74,10 @@ def test_monitoring_submodule_imports_stay_silent():
         import repro.monitoring.promql  # noqa: F401
 
 
-def test_old_ml_metrics_path_warns():
-    import repro.ml.metrics as old
-
-    with pytest.warns(DeprecationWarning, match="segmetrics"):
-        scores_cls = old.SegmentationScores
+def test_old_ml_metrics_path_is_gone():
     from repro.ml.segmetrics import SegmentationScores
 
-    assert scores_cls is SegmentationScores
+    assert importlib.util.find_spec("repro.ml.metrics") is None
     assert repro.obs.SegmentationScores is SegmentationScores
 
 
@@ -85,7 +86,5 @@ def test_unknown_attribute_still_raises():
 
     with pytest.raises(AttributeError):
         repro.monitoring.does_not_exist
-    import repro.ml.metrics as old
-
     with pytest.raises(AttributeError):
-        old.does_not_exist
+        repro.obs.does_not_exist
