@@ -3,7 +3,7 @@
 The paper's cluster stays operable because workloads are vetted
 *before* they run (admission control, manifest linting, namespace
 quotas — §IV/§V); this package is that pre-flight layer for the
-reproduction, exposed as ``python -m repro lint``.  Three rule packs:
+reproduction, exposed as ``python -m repro lint``.  Five rule packs:
 
 - ``spec`` (:mod:`~repro.analysis.cluster_rules`) — admission lint for
   Pod/Job/Namespace/Service specs against the testbed's nodes:
@@ -14,23 +14,23 @@ reproduction, exposed as ``python -m repro lint``.  Three rule packs:
   orphans, network steps without timeout/retry budgets, checkpoint
   coverage gaps, aggregate GPU oversubscription across concurrent
   branches.
-- ``det`` (:mod:`~repro.analysis.determinism`) — the determinism
-  sanitizer, an AST pass flagging unseeded RNGs, stdlib ``random``,
-  wall-clock reads and module-level mutable state in simulation code.
-
-The *deep* pass (``repro lint --deep``) adds three whole-program
-engines on top of a module-level call graph
-(:mod:`~repro.analysis.callgraph`):
-
-- interprocedural determinism taint (:mod:`~repro.analysis.taint`,
-  DET010+) — nondeterminism sources reported with the full call path
-  from simulation entry points, replacing the shallow path heuristic;
-- concurrency hazards (:mod:`~repro.analysis.concurrency_rules`,
-  CONC001+) — stale guards across yields, callback/process shared
-  writes, module-level state mutated from sim code;
-- cross-layer deployment lint (:mod:`~repro.analysis.deployment_rules`,
-  DEPLOY001+) — retry storms, priority starvation, quota/burst
+- ``det`` (:mod:`~repro.analysis.taint` over
+  :mod:`~repro.analysis.determinism`) — the determinism sanitizer: one
+  AST walk per file flags unseeded RNGs and module-level mutable state
+  in simulation modules, and records wall-clock reads, stdlib
+  ``random`` draws, environment reads and order-unstable iteration as
+  taint sources; DET010+ reports each source that is reachable from a
+  simulation entry point (with the full call path) or runs at import
+  time.
+- ``conc`` (:mod:`~repro.analysis.concurrency_rules`) — concurrency
+  hazards: stale guards across yields, callback/process shared writes,
+  module-level state mutated from sim code.
+- ``deploy`` (:mod:`~repro.analysis.deployment_rules`) — cross-layer
+  deployment lint: retry storms, priority starvation, quota/burst
   infeasibility over the joined gateway + cluster + workflow view.
+
+The det and conc packs share one module-level call graph
+(:mod:`~repro.analysis.callgraph`), built once per lint run.
 
 Findings carry a rule code, severity, location and suggestion;
 :class:`Baseline` files grandfather accepted findings so the linter can

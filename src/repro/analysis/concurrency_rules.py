@@ -36,7 +36,7 @@ import pathlib
 import typing as _t
 
 from repro.analysis.callgraph import CallGraph, build_call_graph, module_name_for
-from repro.analysis.determinism import expand_python_paths
+from repro.analysis.determinism import MUTABLE_CONSTRUCTORS, expand_python_paths
 from repro.analysis.findings import Finding, Location, Severity
 from repro.analysis.registry import rule
 
@@ -52,10 +52,6 @@ _ORDER_SENSITIVE_CALLS = {
 _APPEND_ONLY_CALLS = {
     "append", "appendleft", "add", "extend", "insert", "update",
     "setdefault", "push",
-}
-
-_MUTABLE_CONSTRUCTORS = {
-    "list", "dict", "set", "defaultdict", "OrderedDict", "deque", "Counter",
 }
 
 
@@ -195,7 +191,7 @@ class _ConcVisitor(ast.NodeVisitor):
                 if isinstance(value.func, ast.Attribute)
                 else value.func.id if isinstance(value.func, ast.Name) else ""
             )
-            return leaf in _MUTABLE_CONSTRUCTORS
+            return leaf in MUTABLE_CONSTRUCTORS
         return False
 
     def _record_mutation(

@@ -1,38 +1,27 @@
-"""Rule pack ``det``: the determinism sanitizer.
+"""Rule pack ``det``: the determinism sanitizer's per-file AST walk.
 
 The reproduction's whole measurement methodology (EXPERIMENTS.md
 "Determinism", the PPoDS measure-learn loop) rests on one invariant:
 the same seed produces the same run.  Every stochastic component must
 draw from a generator derived via :func:`repro.sim.rng.derive_seed`,
 and simulation code must read the *virtual* clock, never the wall
-clock.  This pack is the static enforcement of that invariant — the
-repo's analog of a race/nondeterminism detector — implemented as a
-single AST walk per source file:
+clock.  This module is the per-file half of that enforcement: one AST
+walk per source file yields both the file-local findings
 
-- ``DET001`` — unseeded ``np.random.default_rng()`` / ``RandomState()``.
-- ``DET002`` — stdlib ``random.*`` (process-global, unseedable per
-  stream) in simulation code paths.  Seeded helpers —
-  ``random.seed(...)`` and ``random.Random(seed)`` — are exempt.
-- ``DET003`` — wall-clock reads (``time.time``, ``datetime.now``...)
-  in simulation code paths.
+- ``DET000`` — the source does not parse;
+- ``DET001`` — unseeded ``np.random.default_rng()`` / ``RandomState()``
+  / ``random.Random()`` (a private stream seeded from OS entropy);
 - ``DET004`` — module-level mutable state in simulation modules (shared
-  across testbeds built in one process, so run N can perturb run N+1).
+  across testbeds built in one process, so run N can perturb run N+1);
+  "simulation modules" are those under ``sim/`` or ``netsim/`` or named
+  ``chaos``;
 
-"Simulation code paths" are modules under ``sim/``, ``netsim/`` or
-named ``chaos``: the kernel, the network model, and the fault
-injectors, where a stray wall-clock read silently corrupts virtual
-time.  Outside those paths DET002/DET003 downgrade to warnings and
-DET004 stays quiet.  The *deep* pass (``repro lint --deep``,
-:mod:`repro.analysis.taint`) replaces this path heuristic with the real
-call graph: DET002/DET003 hits inside functions re-emerge as
-DET010+ findings with the full call path when they are reachable from
-a simulation entry point, and stay quiet when they are not.
-
-Besides the shallow findings, the analyzer records *taint sources* for
-the interprocedural pass: wall-clock reads, global-RNG draws,
+and the *taint sources* the call-graph pass (:mod:`repro.analysis.taint`)
+judges by reachability: wall-clock reads, stdlib ``random`` draws
+(``random.seed(...)`` and ``random.Random(seed)`` are exempt),
 environment reads (``os.environ`` / ``os.getenv``) and order-sensitive
 iteration (``for x in set(...)``, unsorted ``os.listdir``) — see
-:func:`collect_taint_sources`.
+:func:`scan_source`.
 """
 
 from __future__ import annotations
@@ -46,10 +35,11 @@ from repro.analysis.findings import Finding, Location, Severity
 from repro.analysis.registry import rule
 
 __all__ = [
+    "MUTABLE_CONSTRUCTORS",
     "lint_source",
     "lint_python_paths",
     "is_sim_path",
-    "collect_taint_sources",
+    "scan_source",
     "expand_python_paths",
     "SourceHit",
 ]
@@ -62,8 +52,9 @@ _SIM_FILE_MARKERS = ("chaos",)
 _WALL_CLOCK_TIME_ATTRS = {"time", "time_ns"}
 _WALL_CLOCK_DATETIME_ATTRS = {"now", "utcnow", "today"}
 
-#: builtin constructors whose module-level use creates shared mutable state
-_MUTABLE_CONSTRUCTORS = {
+#: constructors whose result is mutable state: DET004 flags it at module
+#: level, the conc pack tracks it on ``self`` attributes and module names
+MUTABLE_CONSTRUCTORS = {
     "list", "dict", "set", "defaultdict", "OrderedDict", "deque", "Counter",
 }
 
@@ -90,7 +81,7 @@ def expand_python_paths(
     paths: _t.Iterable["str | pathlib.Path"],
 ) -> "list[pathlib.Path]":
     """Expand files and directories into a sorted, de-duplicated list of
-    ``*.py`` files (the unit both the shallow and deep passes walk)."""
+    ``*.py`` files (the unit every source pass walks)."""
     files: list[pathlib.Path] = []
     seen: set[pathlib.Path] = set()
     for raw in paths:
@@ -107,17 +98,21 @@ def expand_python_paths(
 class SourceHit:
     """One raw analyzer hit, before severity/reporting policy."""
 
-    code: str  # DET001..DET004, or taint-only ENV / ORDER
+    #: DET001 / DET004, or a taint-source kind: ``wall-clock``,
+    #: ``global-rng``, ``env-read``, ``unordered-iter``
+    code: str
     line: int
     detail: str
     #: dotted in-module scope ("Cls.method"); "" at module level
     qualname: str
+    snippet: str
 
 
 class _Analyzer(ast.NodeVisitor):
     """One pass over a module, accumulating raw hits per rule code."""
 
-    def __init__(self) -> None:
+    def __init__(self, lines: "list[str]") -> None:
+        self._lines = lines
         #: local alias -> canonical module ("numpy.random", "random", ...)
         self.module_aliases: dict[str, str] = {}
         #: local name -> canonical dotted origin ("random.randint", ...)
@@ -130,9 +125,13 @@ class _Analyzer(ast.NodeVisitor):
         return len(self._scope)
 
     def _hit(self, code: str, line: int, detail: str) -> None:
+        snippet = (
+            self._lines[line - 1].strip() if 1 <= line <= len(self._lines)
+            else ""
+        )
         self.hits.append(
             SourceHit(code=code, line=line, detail=detail,
-                      qualname=".".join(self._scope))
+                      qualname=".".join(self._scope), snippet=snippet)
         )
 
     # -- imports ------------------------------------------------------------
@@ -186,9 +185,10 @@ class _Analyzer(ast.NodeVisitor):
 
     def _check_rng(self, node: ast.Call, dotted: str) -> None:
         leaf = dotted.rsplit(".", 1)[-1]
-        if leaf not in ("default_rng", "RandomState"):
-            return
-        if not (dotted.startswith("numpy.") or "random" in dotted):
+        if leaf in ("default_rng", "RandomState"):
+            if not (dotted.startswith("numpy.") or "random" in dotted):
+                return
+        elif dotted != "random.Random":
             return
         if node.args or node.keywords:
             return  # seeded (or at least explicitly parameterized)
@@ -198,19 +198,20 @@ class _Analyzer(ast.NodeVisitor):
         if not dotted.startswith("random."):
             return
         leaf = dotted.rsplit(".", 1)[-1]
-        if leaf in _RANDOM_SEEDING_ATTRS:
-            return  # random.seed(...) is determinism hygiene, not a draw
-        if leaf == "Random" and (node.args or node.keywords):
-            return  # random.Random(seed): a seeded private stream
-        self._hit("DET002", node.lineno, dotted)
+        if leaf in _RANDOM_SEEDING_ATTRS or leaf == "Random":
+            # random.seed(...) is determinism hygiene, not a draw;
+            # random.Random(...) builds a private stream (DET001 judges
+            # whether it is seeded)
+            return
+        self._hit("global-rng", node.lineno, dotted)
 
     def _check_wall_clock(self, node: ast.Call, dotted: str) -> None:
         parts = dotted.split(".")
         if parts[0] == "time" and parts[-1] in _WALL_CLOCK_TIME_ATTRS:
-            self._hit("DET003", node.lineno, dotted)
+            self._hit("wall-clock", node.lineno, dotted)
             return
         if parts[0] == "datetime" and parts[-1] in _WALL_CLOCK_DATETIME_ATTRS:
-            self._hit("DET003", node.lineno, dotted)
+            self._hit("wall-clock", node.lineno, dotted)
             return
         # `from datetime import datetime` -> datetime.now()
         origin = self.name_origins.get(parts[0], "")
@@ -219,17 +220,15 @@ class _Analyzer(ast.NodeVisitor):
             and len(parts) > 1
             and parts[-1] in _WALL_CLOCK_DATETIME_ATTRS
         ):
-            self._hit("DET003", node.lineno, f"{origin}.{parts[-1]}")
-
-    # -- taint-only sources ---------------------------------------------------
+            self._hit("wall-clock", node.lineno, f"{origin}.{parts[-1]}")
 
     def _check_env_read(self, node: ast.Call, dotted: str) -> None:
         if dotted in ("os.getenv", "os.environ.get"):
-            self._hit("ENV", node.lineno, dotted)
+            self._hit("env-read", node.lineno, dotted)
 
     def visit_Subscript(self, node: ast.Subscript) -> None:
         if self._canonical(node.value) == "os.environ":
-            self._hit("ENV", node.lineno, "os.environ[...]")
+            self._hit("env-read", node.lineno, "os.environ[...]")
         self.generic_visit(node)
 
     def _iter_order_detail(self, expr: ast.expr) -> str:
@@ -239,8 +238,8 @@ class _Analyzer(ast.NodeVisitor):
         if isinstance(expr, ast.Call):
             dotted = self._canonical(expr.func)
             leaf = dotted.rsplit(".", 1)[-1]
-            if dotted == "set" or dotted.endswith(".set"):
-                return "set(...)"
+            if leaf in ("set", "frozenset"):
+                return f"{leaf}(...)"
             if dotted in _FS_ORDER_CALLS:
                 return f"{dotted}(...)"
             if leaf in _FS_ORDER_METHODS and dotted.startswith(
@@ -252,7 +251,7 @@ class _Analyzer(ast.NodeVisitor):
     def _check_iteration(self, iter_expr: ast.expr, line: int) -> None:
         detail = self._iter_order_detail(iter_expr)
         if detail:
-            self._hit("ORDER", line, detail)
+            self._hit("unordered-iter", line, detail)
 
     def visit_For(self, node: ast.For) -> None:
         self._check_iteration(node.iter, node.lineno)
@@ -277,7 +276,7 @@ class _Analyzer(ast.NodeVisitor):
         )
         if isinstance(value, ast.Call):
             callee = self._canonical(value.func).rsplit(".", 1)[-1]
-            mutable = callee in _MUTABLE_CONSTRUCTORS
+            mutable = callee in MUTABLE_CONSTRUCTORS
         if mutable:
             self._hit("DET004", target.lineno, name)
 
@@ -305,34 +304,11 @@ class _Analyzer(ast.NodeVisitor):
     visit_Lambda = _scoped
 
 
-def _severity(code: str, sim: bool) -> "Severity | None":
-    """Map a raw hit to a severity given the file's code path (or drop it)."""
-    if code == "DET001":
-        return Severity.ERROR
-    if code in ("DET002", "DET003"):
-        return Severity.ERROR if sim else Severity.WARNING
-    if code == "DET004":
-        return Severity.WARNING if sim else None
-    if code in ("ENV", "ORDER"):
-        return None  # taint-only sources: reported by the deep pass
-    raise AssertionError(code)  # pragma: no cover
-
-
 _MESSAGES = {
     "DET001": (
         "unseeded random generator: {detail}; derive the seed via "
         "repro.sim.rng.derive_seed so reruns reproduce",
         "pass a seed: np.random.default_rng(derive_seed(root, \"stream\"))",
-    ),
-    "DET002": (
-        "stdlib {detail}() draws from process-global state; simulation "
-        "code must use a seeded numpy Generator",
-        "use SeededRNG.stream(...) / np.random.default_rng(derive_seed(...))",
-    ),
-    "DET003": (
-        "wall-clock read {detail}() in simulation code; virtual time "
-        "comes from env.now",
-        "read env.now (or pass timestamps in) instead of the wall clock",
     ),
     "DET004": (
         "module-level mutable state {detail!r} is shared by every testbed "
@@ -341,115 +317,80 @@ _MESSAGES = {
     ),
 }
 
-
-def _snippet_at(lines: "list[str]", line: int) -> str:
-    if 1 <= line <= len(lines):
-        return lines[line - 1].strip()
-    return ""
+#: taint-source kinds: judged by :mod:`repro.analysis.taint`, not here
+TAINT_KINDS = ("wall-clock", "global-rng", "env-read", "unordered-iter")
 
 
-def _analyze(source: str, path: "str | pathlib.Path"):
-    """Parse and walk one source text; returns (analyzer, error_finding)."""
+def scan_source(
+    source: str, path: "str | pathlib.Path" = "<string>"
+) -> "tuple[list[Finding], list[SourceHit]]":
+    """Walk one source text once: its file-local findings (DET000,
+    DET001, DET004) and its taint sources (hits whose ``code`` is one
+    of :data:`TAINT_KINDS`)."""
     try:
         tree = ast.parse(source, filename=str(path))
     except SyntaxError as exc:
-        return None, Finding(
+        error = Finding(
             code="DET000",
             severity=Severity.ERROR,
             message=f"source does not parse: {exc.msg}",
             location=Location(path=str(path), line=exc.lineno or 0),
             suggestion="fix the syntax error before linting",
         )
-    analyzer = _Analyzer()
+        return [error], []
+    analyzer = _Analyzer(source.splitlines())
     analyzer.visit(tree)
-    return analyzer, None
-
-
-def lint_source(
-    source: str, path: "str | pathlib.Path" = "<string>"
-) -> "list[Finding]":
-    """Run the determinism pack over one Python source text."""
-    analyzer, error = _analyze(source, path)
-    if analyzer is None:
-        return [error]
     sim = is_sim_path(path)
-    lines = source.splitlines()
     findings: list[Finding] = []
+    sources: list[SourceHit] = []
     for hit in analyzer.hits:
-        severity = _severity(hit.code, sim)
-        if severity is None:
+        if hit.code in TAINT_KINDS:
+            sources.append(hit)
+            continue
+        if hit.code == "DET004" and not sim:
             continue
         message, suggestion = _MESSAGES[hit.code]
         findings.append(
             Finding(
                 code=hit.code,
-                severity=severity,
+                severity=(
+                    Severity.ERROR if hit.code == "DET001" else Severity.WARNING
+                ),
                 message=message.format(detail=hit.detail),
                 location=Location(path=str(path), line=hit.line),
                 suggestion=suggestion,
                 qualname=hit.qualname,
-                snippet=_snippet_at(lines, hit.line),
+                snippet=hit.snippet,
             )
         )
-    return findings
+    return findings, sources
 
 
-#: maps raw analyzer hit codes to taint-source kinds for the deep pass
-_TAINT_KINDS = {
-    "DET002": "global-rng",
-    "DET003": "wall-clock",
-    "ENV": "env-read",
-    "ORDER": "unordered-iter",
-}
-
-
-def collect_taint_sources(
+def lint_source(
     source: str, path: "str | pathlib.Path" = "<string>"
-) -> "list[tuple[str, str, int, str, str]]":
-    """Taint sources for :mod:`repro.analysis.taint`.
-
-    Returns ``(kind, detail, line, qualname, snippet)`` tuples, where
-    ``kind`` is one of ``wall-clock`` / ``global-rng`` / ``env-read`` /
-    ``unordered-iter`` and ``qualname`` is the dotted in-module scope
-    the source sits in ("" for module level).
-    """
-    analyzer, _error = _analyze(source, path)
-    if analyzer is None:
-        return []
-    lines = source.splitlines()
-    out = []
-    for hit in analyzer.hits:
-        kind = _TAINT_KINDS.get(hit.code)
-        if kind is None:
-            continue
-        out.append(
-            (kind, hit.detail, hit.line, hit.qualname,
-             _snippet_at(lines, hit.line))
-        )
-    return out
+) -> "list[Finding]":
+    """The file-local determinism findings for one Python source text."""
+    return scan_source(source, path)[0]
 
 
 def lint_python_paths(
     paths: _t.Iterable["str | pathlib.Path"],
 ) -> "list[Finding]":
-    """Lint files and directories (recursing into ``*.py``)."""
+    """:func:`lint_source` over files and directories (recursing into
+    ``*.py``)."""
     findings: list[Finding] = []
     for file in expand_python_paths(paths):
         findings.extend(lint_source(file.read_text(), path=file))
     return findings
 
 
-# Registered for discoverability (--list-rules, docs); the engine calls
-# lint_source directly since the det pack's subject is a file, not a view.
+# Registered for discoverability (--list-rules, docs); the engine runs
+# scan_source through repro.analysis.taint.run_det_pack since the det
+# pack's subject is a file, not a view.
 def _register_det_rules() -> None:
     specs = [
         ("DET001", "unseeded-rng", Severity.ERROR,
          "np.random.default_rng()/RandomState() called without a seed"),
-        ("DET002", "stdlib-random", Severity.ERROR,
-         "stdlib random.* in simulation code paths (warning elsewhere)"),
-        ("DET003", "wall-clock-read", Severity.ERROR,
-         "time.time()/datetime.now() in simulation code paths "
-         "(warning elsewhere)"),
         ("DET004", "module-level-mutable-state", Severity.WARNING,
          "module-level list/dict/set state in simulation modules"),
     ]

@@ -1,7 +1,7 @@
 """The rule registry: every lint rule, discoverable and switchable.
 
 Rules are small functions registered under a stable code (``SPEC001``,
-``DAG003``, ``DET002``...) and grouped into packs:
+``DAG003``, ``DET010``...) and grouped into packs:
 
 - ``spec`` — cluster-spec admission lint (pods, jobs, namespaces,
   services vs. the testbed's nodes).

@@ -1,38 +1,37 @@
-"""Rule pack ``det`` (deep): interprocedural nondeterminism taint.
+"""Rule pack ``det``: the determinism pass over Python sources.
 
-The shallow determinism pack flags nondeterminism *where it happens*;
-this pass answers the question that actually matters for reproductions:
-**can it happen during a simulation run?**  A taint source — wall-clock
-read, process-global RNG draw, environment read, order-unstable
-iteration — in a function nobody calls from the simulation is inert.
-The same source reachable from ``WorkflowDriver.run`` or the admission
-gateway silently makes two same-seed runs diverge.
+A nondeterminism source — wall-clock read, process-global RNG draw,
+environment read, order-unstable iteration — matters for a
+reproduction only if it **can run during a simulation**.  The same
+source in a function nobody calls from the simulation is inert;
+reachable from ``WorkflowDriver.run`` or the admission gateway it
+silently makes two same-seed runs diverge.
 
-The pass combines the per-function sources collected by
-:func:`repro.analysis.determinism.collect_taint_sources` with the
-whole-program :class:`~repro.analysis.callgraph.CallGraph` and reports
-one finding per tainted *source site* whose enclosing function is
-sim-reachable, quoting the full call path from the entry point::
+The pass walks every file once with
+:func:`repro.analysis.determinism.scan_source`, which yields the
+file-local findings (DET000/DET001/DET004) and the taint sources, and
+judges each source against the whole-program
+:class:`~repro.analysis.callgraph.CallGraph`.  A source inside a
+function is reported when that function is sim-reachable, quoting the
+full call path from the entry point::
 
     driver.run -> stages.download -> clock.stamp: DET010 error:
     wall-clock read time.time() is reachable from simulation entry
     point 'driver.run' ...
 
+A module-level source is reported without a reachability check: it
+runs at import time, so it runs whenever the simulation imports the
+module.
+
 Codes (all errors — reachability **is** the severity argument):
 
-- ``DET010`` — wall-clock read on a sim-reachable path.
-- ``DET011`` — stdlib ``random`` (process-global state) on a
-  sim-reachable path.
+- ``DET010`` — wall-clock read (``time.time``, ``datetime.now``...).
+- ``DET011`` — stdlib ``random`` draw (process-global state).
 - ``DET012`` — environment read (``os.environ``/``os.getenv``): runs
   depend on ambient shell state no seed controls.
 - ``DET013`` — iteration over order-unstable collections (``set``,
-  unsorted ``os.listdir``): hash/OS order leaks into event order.
-
-In deep mode these *replace* DET002/DET003 for code inside functions:
-the engine drops those shallow findings (their path-prefix heuristic is
-strictly worse than reachability), so a seeded test helper stops
-warning and a genuinely reachable draw upgrades to an error with its
-path quoted.
+  ``frozenset``, unsorted ``os.listdir``): hash/OS order leaks into
+  event order.
 """
 
 from __future__ import annotations
@@ -41,16 +40,13 @@ import pathlib
 import typing as _t
 
 from repro.analysis.callgraph import CallGraph, build_call_graph, module_name_for
-from repro.analysis.determinism import (
-    collect_taint_sources,
-    expand_python_paths,
-)
+from repro.analysis.determinism import expand_python_paths, scan_source
 from repro.analysis.findings import Finding, Location, Severity
 from repro.analysis.registry import rule
 
-__all__ = ["run_taint_analysis", "DEEP_DET_CODES"]
+__all__ = ["run_det_pack", "run_taint_analysis", "TAINT_CODES"]
 
-#: taint-source kind -> deep rule code
+#: taint-source kind -> rule code
 _KIND_CODES = {
     "wall-clock": "DET010",
     "global-rng": "DET011",
@@ -58,7 +54,7 @@ _KIND_CODES = {
     "unordered-iter": "DET013",
 }
 
-DEEP_DET_CODES = tuple(sorted(_KIND_CODES.values()))
+TAINT_CODES = tuple(sorted(_KIND_CODES.values()))
 
 _KIND_MESSAGES = {
     "wall-clock": (
@@ -81,56 +77,63 @@ _KIND_MESSAGES = {
 }
 
 
-def run_taint_analysis(
+def run_det_pack(
     paths: _t.Sequence["str | pathlib.Path"],
     graph: "CallGraph | None" = None,
     entry_modules: "_t.Collection[str] | None" = None,
 ) -> "list[Finding]":
-    """Report every taint source enclosed in a sim-reachable function.
-
-    Module-level sources (qualname ``""``) stay with the shallow rules:
-    reachability is a property of *functions*; import-time code runs
-    unconditionally and DET002/DET003 already judge it.
-    """
+    """The whole det pack: file-local findings plus DET010-013."""
     if graph is None:
         graph = build_call_graph(paths, entry_modules=entry_modules)
     findings: list[Finding] = []
     for file in expand_python_paths(paths):
+        local, sources = scan_source(file.read_text(), path=file)
+        findings += local
         module = module_name_for(file)
-        try:
-            source = file.read_text()
-        except OSError:  # pragma: no cover - race with deletion
-            continue
-        for kind, detail, line, qualname, snippet in collect_taint_sources(
-            source, path=file
-        ):
-            if not qualname:
-                continue
-            func_qual = f"{module}.{qualname}"
-            if not graph.is_sim_reachable(func_qual):
-                continue
-            path_text = graph.format_path(func_qual)
-            entry = path_text.split(" -> ", 1)[0]
-            raw_message, suggestion = _KIND_MESSAGES[kind]
+        for hit in sources:
+            raw_message, suggestion = _KIND_MESSAGES[hit.code]
+            if hit.qualname:
+                func_qual = f"{module}.{hit.qualname}"
+                if not graph.is_sim_reachable(func_qual):
+                    continue
+                path_text = graph.format_path(func_qual)
+                entry = path_text.split(" -> ", 1)[0]
+                where = (
+                    f"is reachable from simulation entry point {entry!r}: "
+                    f"{path_text}"
+                )
+            else:
+                where = f"runs at import time of module {module!r}"
             findings.append(
                 Finding(
-                    code=_KIND_CODES[kind],
+                    code=_KIND_CODES[hit.code],
                     severity=Severity.ERROR,
                     message=(
-                        f"{raw_message.format(detail=detail)} is reachable "
-                        f"from simulation entry point {entry!r}: "
-                        f"{path_text}; same-seed runs will diverge"
+                        f"{raw_message.format(detail=hit.detail)} {where}; "
+                        "same-seed runs will diverge"
                     ),
-                    location=Location(path=str(file), line=line),
+                    location=Location(path=str(file), line=hit.line),
                     suggestion=suggestion,
-                    qualname=qualname,
-                    snippet=snippet,
+                    qualname=hit.qualname,
+                    snippet=hit.snippet,
                 )
             )
     return findings
 
 
-def _register_deep_det_rules() -> None:
+def run_taint_analysis(
+    paths: _t.Sequence["str | pathlib.Path"],
+    graph: "CallGraph | None" = None,
+    entry_modules: "_t.Collection[str] | None" = None,
+) -> "list[Finding]":
+    """Only the taint findings (DET010-013) of :func:`run_det_pack`."""
+    return [
+        f for f in run_det_pack(paths, graph, entry_modules)
+        if f.code in TAINT_CODES
+    ]
+
+
+def _register_taint_rules() -> None:
     specs = [
         ("DET010", "sim-reachable-wall-clock",
          "wall-clock read reachable from a simulation entry point"),
@@ -149,4 +152,4 @@ def _register_deep_det_rules() -> None:
              description=description)(run_taint_analysis)
 
 
-_register_deep_det_rules()
+_register_taint_rules()

@@ -412,8 +412,8 @@ def loadtest_deployment_view(
 ):
     """The overload drill's config as a lint :class:`DeploymentView`.
 
-    This is the cross-layer join ``repro lint --deep`` inspects with the
-    ``deploy`` pack: the gateway's tenant policies, the client retry
+    This is the cross-layer join ``repro lint`` (with no paths) inspects
+    with the ``deploy`` pack: the gateway's tenant policies, the client retry
     budgets of :class:`_TenantRunner` (which *honors*
     ``decision.retry_after_s`` — the property DEPLOY001 checks), and the
     CONNECT-derived workflow shape with its inference fan-out.  CI

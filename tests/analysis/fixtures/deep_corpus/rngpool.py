@@ -1,6 +1,6 @@
 """Seeded defects: global-RNG draw reachable through two call hops,
 plus an unseeded generator in a function nothing reaches (DET001 only —
-the deep pass must NOT add a DET011 for it)."""
+the taint pass must NOT add a DET011 for it)."""
 
 import random
 

@@ -12,4 +12,4 @@ rng = np.random.default_rng()  # DET001: no seed
 
 
 def jitter() -> float:
-    return random.uniform(0.0, 1.0) * time.time()  # DET002 + DET003
+    return random.uniform(0.0, 1.0) * time.time()  # unreachable: no DET010/011

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import pathlib
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 REPO = pathlib.Path(__file__).resolve().parents[2]
@@ -50,22 +51,29 @@ def test_lint_exits_zero_on_clean_fixture(capsys):
     assert "0 error(s)" in out
 
 
-def test_lint_exits_zero_on_shipped_examples(capsys):
+def test_lint_exits_zero_on_shipped_examples(capsys, monkeypatch):
+    # ./lint-baseline.json auto-loads from the working directory.
+    monkeypatch.chdir(REPO)
     code, _out, _err = run(
         ["lint", "--strict", str(REPO / "examples")], capsys
     )
     assert code == 0
 
 
-def test_lint_exits_zero_on_package_sources(capsys):
+def test_lint_exits_zero_on_package_sources(capsys, monkeypatch):
+    # The committed baseline accepts one CONC002 warning in the package;
+    # it auto-loads from the working directory.
+    monkeypatch.chdir(REPO)
     code, _out, _err = run(
         ["lint", "--strict", str(REPO / "src" / "repro")], capsys
     )
     assert code == 0
 
 
-def test_lint_default_target_testbed_and_connect(capsys):
-    # No paths: lint the built testbed + the CONNECT workflow.
+def test_lint_default_target_testbed_and_connect(capsys, monkeypatch):
+    # No paths: lint the built testbed, the CONNECT workflow, the
+    # loadtest deployment and the package sources.
+    monkeypatch.chdir(REPO)
     code, out, _err = run(["lint", "--scale", "0.001"], capsys)
     assert code == 0
     assert "0 error(s)" in out
@@ -121,8 +129,33 @@ def test_lint_missing_path_is_usage_error(capsys):
 def test_lint_list_rules(capsys):
     code, out, _err = run(["lint", "--list-rules"], capsys)
     assert code == 0
-    for prefix in ("SPEC001", "DAG001", "DET001"):
+    for prefix in ("SPEC001", "DAG001", "DET001", "DET010", "CONC001"):
         assert prefix in out
+    det_codes = {
+        line.split()[0] for line in out.splitlines() if line.startswith("DET")
+    }
+    # wall-clock and stdlib-random sources report only through the taint
+    # rules (DET010/DET011)
+    assert det_codes == {
+        "DET001", "DET004", "DET010", "DET011", "DET012", "DET013",
+    }
+
+
+def test_lint_option_surface():
+    # One source pass, no mode switch: any other option is a usage error.
+    parser = build_parser()
+    (subparsers,) = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    options = {
+        opt for a in subparsers.choices["lint"]._actions
+        for opt in a.option_strings
+    }
+    assert options == {
+        "-h", "--help", "--seed", "--scale", "--format", "--strict",
+        "--select", "--disable", "--baseline", "--update-baseline",
+        "--list-rules",
+    }
 
 
 # ---------------------------------------------------------------- baseline
@@ -150,15 +183,20 @@ def test_lint_baseline_roundtrip(tmp_path, capsys):
     assert "suppressed" in out
 
 
-def test_lint_update_baseline_requires_path(capsys):
+def test_lint_update_baseline_requires_path(capsys, monkeypatch):
+    # Run where ./lint-baseline.json exists: the auto-loaded baseline is
+    # never rewritten without an explicit --baseline.
+    monkeypatch.chdir(REPO)
+    committed = (REPO / "lint-baseline.json").read_text()
     code, _out, err = run(
         ["lint", "--update-baseline", str(FIXTURES / "bad_gpu.json")], capsys
     )
     assert code == 2
     assert "--baseline" in err
+    assert (REPO / "lint-baseline.json").read_text() == committed
 
 
-# -------------------------------------------------------------- deep mode
+# ------------------------------------------- call-graph pass over sources
 
 
 def copy_corpus(tmp_path):
@@ -172,7 +210,7 @@ def copy_corpus(tmp_path):
 
 
 def test_lint_deep_exits_nonzero_on_corpus(tmp_path, capsys):
-    code, out, _err = run(["lint", "--deep", str(copy_corpus(tmp_path))], capsys)
+    code, out, _err = run(["lint", str(copy_corpus(tmp_path))], capsys)
     assert code == 1
     for expected in ("DET010", "DET011", "DET012", "DET013",
                      "CONC001", "CONC002", "CONC003"):
@@ -180,40 +218,24 @@ def test_lint_deep_exits_nonzero_on_corpus(tmp_path, capsys):
     assert "->" in out  # call paths are quoted
 
 
-def test_lint_deep_requalifies_shallow_det002(tmp_path, capsys):
-    corpus = copy_corpus(tmp_path)
-    code, out, _err = run(["lint", str(corpus)], capsys)
-    assert "DET002" in out  # shallow: random.random() warnings
-    code, out, _err = run(["lint", "--deep", str(corpus)], capsys)
-    assert "DET002" not in out  # deep: requalified to DET011 or dropped
-    assert "DET011" in out
-
-
 def test_lint_deep_fires_deploy_rules_on_json(capsys):
     code, out, _err = run(
-        ["lint", "--deep", str(FIXTURES / "deploy_retry_storm.json")], capsys
+        ["lint", str(FIXTURES / "deploy_retry_storm.json")], capsys
     )
     assert code == 1
     for expected in ("DEPLOY001", "DEPLOY004", "DEPLOY005"):
         assert expected in out
 
 
-def test_lint_shallow_skips_deploy_rules_on_json(capsys):
-    code, _out, _err = run(
-        ["lint", str(FIXTURES / "deploy_retry_storm.json")], capsys
-    )
-    assert code == 0  # spec/dag view of the same file is clean
-
-
 def test_lint_deep_select_and_disable_new_codes(tmp_path, capsys):
     corpus = str(copy_corpus(tmp_path))
     code, out, _err = run(
-        ["lint", "--deep", "--select", "CONC002", corpus], capsys
+        ["lint", "--select", "CONC002", corpus], capsys
     )
     assert code == 0  # CONC002 is a warning
     assert "CONC002" in out and "DET010" not in out
     code, out, _err = run(
-        ["lint", "--deep", "--strict", "--disable", "DET010,DET011,DET012,"
+        ["lint", "--strict", "--disable", "DET010,DET011,DET012,"
          "DET013,DET001,CONC001,CONC002,CONC003", corpus],
         capsys,
     )
@@ -226,7 +248,7 @@ def test_lint_deep_sarif_output_validates(tmp_path, capsys):
     from repro.analysis import validate_sarif
 
     code, out, _err = run(
-        ["lint", "--deep", "--format", "sarif", str(copy_corpus(tmp_path))],
+        ["lint", "--format", "sarif", str(copy_corpus(tmp_path))],
         capsys,
     )
     assert code == 1
@@ -241,7 +263,7 @@ def test_lint_deep_output_is_byte_identical_across_runs(tmp_path, capsys):
     runs = []
     for _ in range(2):
         _code, out, _err = run(
-            ["lint", "--deep", "--format", "sarif", corpus], capsys
+            ["lint", "--format", "sarif", corpus], capsys
         )
         runs.append(out)
     assert runs[0] == runs[1]
@@ -251,19 +273,19 @@ def test_lint_deep_baseline_roundtrip_and_autoload(tmp_path, capsys, monkeypatch
     corpus = str(copy_corpus(tmp_path))
     monkeypatch.chdir(tmp_path)
 
-    code, _out, _err = run(["lint", "--deep", corpus], capsys)
+    code, _out, _err = run(["lint", corpus], capsys)
     assert code == 1
 
     # Accept everything into the default baseline file name.
     code, _out, _err = run(
-        ["lint", "--deep", "--baseline", "lint-baseline.json",
+        ["lint", "--baseline", "lint-baseline.json",
          "--update-baseline", corpus],
         capsys,
     )
     assert code == 0
 
-    # Without --baseline, deep mode auto-loads ./lint-baseline.json.
-    code, out, _err = run(["lint", "--deep", "--strict", corpus], capsys)
+    # Without --baseline, ./lint-baseline.json auto-loads.
+    code, out, _err = run(["lint", "--strict", corpus], capsys)
     assert code == 0
     assert "suppressed" in out
 
@@ -271,11 +293,11 @@ def test_lint_deep_baseline_roundtrip_and_autoload(tmp_path, capsys, monkeypatch
 def test_lint_deep_strict_repo_root_passes_with_committed_baseline(
     capsys, monkeypatch
 ):
-    # The CI gate: deep lint over the whole package (testbed views,
-    # loadtest deployment, package sources) passes with the committed
-    # baseline of documented exceptions.
+    # The CI gate: lint over the whole package (testbed views, loadtest
+    # deployment, package sources) passes with the committed baseline of
+    # documented exceptions.
     monkeypatch.chdir(REPO)
     code, out, _err = run(
-        ["lint", "--deep", "--strict", "--scale", "0.001"], capsys
+        ["lint", "--strict", "--scale", "0.001"], capsys
     )
     assert code == 0

@@ -1,11 +1,18 @@
-"""Det pack (DET000–DET004): the AST determinism sanitizer."""
+"""Det pack: the per-file AST walk's findings (DET000/DET001/DET004) and
+the wall-clock / stdlib-random sources it hands to the taint pass."""
 
 from __future__ import annotations
 
 import pathlib
 import textwrap
 
-from repro.analysis import Severity, is_sim_path, lint_python_paths, lint_source
+from repro.analysis import (
+    LintEngine,
+    Severity,
+    is_sim_path,
+    lint_python_paths,
+    lint_source,
+)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -19,6 +26,16 @@ def lint(source: str, path: str = SIM):
 
 def codes_of(findings):
     return {f.code for f in findings}
+
+
+def lint_module(tmp_path, source: str, name: str = "driver"):
+    """Lint ``source`` as module ``name`` through the call-graph pass;
+    functions in ``driver`` are simulation entry points."""
+    path = tmp_path / f"{name}.py"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(textwrap.dedent(source))
+    engine = LintEngine(entry_modules=["driver"])
+    return engine.lint_paths([path]).findings
 
 
 # --------------------------------------------------------------- sim paths
@@ -47,8 +64,10 @@ def test_det001_unseeded_default_rng():
 def test_det001_seeded_rng_is_clean():
     assert lint("""
         import numpy as np
+        import random
         rng = np.random.default_rng(42)
         rng2 = np.random.default_rng(seed=7)
+        rng3 = random.Random(7)
     """) == []
 
 
@@ -63,6 +82,16 @@ def test_det001_from_import_and_alias():
         r = npr.RandomState()
     """)
     assert codes_of(findings) == {"DET001"}
+    # random.Random() is a private stream seeded from OS entropy: the
+    # same defect as an unseeded numpy generator, not a global draw.
+    findings = lint("""
+        import random
+        from random import Random
+        a = random.Random()
+        b = Random()
+    """)
+    assert [f.code for f in findings] == ["DET001", "DET001"]
+    assert "Random() has no seed" in findings[0].message
 
 
 def test_det001_fires_outside_sim_paths_too():
@@ -81,43 +110,95 @@ def test_unrelated_default_rng_name_not_flagged():
     """) == []
 
 
-# ----------------------------------------------------------------- DET002
+# ------------------------------------- stdlib random -> DET011 (taint pass)
 
 
-def test_det002_stdlib_random_severity_by_path():
-    src = "import random\nx = random.randint(0, 5)\n"
-    (sim_f,) = lint_source(src, path=SIM)
-    assert sim_f.code == "DET002" and sim_f.severity is Severity.ERROR
-    (plain_f,) = lint_source(src, path=PLAIN)
-    assert plain_f.severity is Severity.WARNING
+def test_det002_stdlib_random_severity_by_path(tmp_path):
+    # Reachability, not the file's path, decides: a draw in a
+    # sim-reachable function is an error under any directory, and the
+    # same draw in a module nothing calls stays quiet.
+    src = """
+        import random
+
+        def run():
+            return random.randint(0, 5)
+    """
+    for folder in ("sim", "viz"):
+        (f,) = lint_module(tmp_path / folder, src)
+        assert f.code == "DET011" and f.severity is Severity.ERROR
+        assert "random.randint()" in f.message
+        assert "'driver.run'" in f.message
+    assert lint_module(tmp_path / "plain", src, name="plots") == []
 
 
-def test_det002_aliased_import():
-    findings = lint("import random as rnd\nx = rnd.random()\n")
-    assert codes_of(findings) == {"DET002"}
+def test_det002_aliased_import(tmp_path):
+    (f,) = lint_module(tmp_path, """
+        import random as rnd
+
+        def run():
+            return rnd.random()
+    """)
+    assert f.code == "DET011"
+    assert "random.random()" in f.message
 
 
-# ----------------------------------------------------------------- DET003
+def test_stdlib_random_seeding_calls_are_exempt(tmp_path):
+    assert lint_module(tmp_path, """
+        import random
+
+        def run():
+            random.seed(3)
+            return random.Random(7).random()
+    """) == []
 
 
-def test_det003_wall_clock_reads():
-    findings = lint("""
+# --------------------------------------- wall clock -> DET010 (taint pass)
+
+
+def test_det003_wall_clock_reads(tmp_path):
+    findings = lint_module(tmp_path, """
         import time
         from datetime import datetime
-        a = time.time()
-        b = time.time_ns()
-        c = datetime.now()
-        d = datetime.utcnow()
+
+        def run():
+            a = time.time()
+            b = time.time_ns()
+            c = datetime.now()
+            d = datetime.utcnow()
+            return a, b, c, d
     """)
-    assert codes_of(findings) == {"DET003"}
+    assert codes_of(findings) == {"DET010"}
     assert len(findings) == 4
     assert all(f.severity is Severity.ERROR for f in findings)
+    assert all(f.qualname == "run" for f in findings)
+    messages = " ".join(f.message for f in findings)
+    assert "datetime.datetime.now()" in messages
+    assert "datetime.datetime.utcnow()" in messages
 
 
-def test_det003_monotonic_not_flagged():
+def test_det003_monotonic_not_flagged(tmp_path):
     # time.monotonic / perf_counter are not in the flagged set (they are
     # still wall-clock-ish, but the rule targets the common offenders).
-    assert lint("import time\nx = time.monotonic()\n") == []
+    assert lint_module(tmp_path, """
+        import time
+
+        def run():
+            return time.monotonic()
+    """) == []
+
+
+def test_module_level_wall_clock_read_is_det010(tmp_path):
+    # Import-time code runs whenever the simulation imports the module,
+    # so no reachability check applies: even a module nothing calls
+    # reports it.
+    (f,) = lint_module(tmp_path, """
+        import time
+
+        STARTED = time.time()
+    """, name="plots")
+    assert f.code == "DET010" and f.severity is Severity.ERROR
+    assert f.qualname == ""
+    assert "runs at import time of module 'plots'" in f.message
 
 
 # ----------------------------------------------------------------- DET004

@@ -1,4 +1,4 @@
-"""Deep determinism taint (DET010-DET013): interprocedural propagation."""
+"""Determinism taint (DET010-DET013): interprocedural propagation."""
 
 from __future__ import annotations
 
@@ -54,11 +54,25 @@ def test_det012_env_read_detected():
     assert f.qualname == "limit"
 
 
-def test_det013_unordered_iteration_sources():
+def test_det013_unordered_iteration_sources(tmp_path):
     findings = by_code(corpus_taint())["DET013"]
     details = " ".join(f.message for f in findings)
     assert "os.listdir" in details
     assert "set literal" in details
+
+    # frozenset(...) leaks hash order exactly like set(...).
+    (tmp_path / "driver.py").write_text(
+        "def run(names):\n"
+        "    for n in frozenset(names):\n"
+        "        yield n\n"
+        "    return [n for n in set(names)]\n"
+    )
+    findings = run_taint_analysis([tmp_path], entry_modules=["driver"])
+    assert [(f.code, f.location.line) for f in findings] == [
+        ("DET013", 2), ("DET013", 4),
+    ]
+    assert "order-unstable frozenset(...)" in findings[0].message
+    assert "order-unstable set(...)" in findings[1].message
 
 
 def test_unreachable_functions_stay_quiet():
@@ -69,6 +83,14 @@ def test_unreachable_functions_stay_quiet():
     assert "make_gen_unreached" not in quals
     assert "dead_code_draw" not in quals
 
+    # The whole engine agrees: envcfg's unreachable random.random() draw
+    # adds nothing beside the reachable environment read.
+    report = LintEngine(entry_modules=ENTRIES).lint_paths([CORPUS])
+    codes_for_envcfg = {
+        f.code for f in report.findings if f.location.path.endswith("envcfg.py")
+    }
+    assert codes_for_envcfg == {"DET012"}
+
 
 def test_taint_findings_are_deterministic():
     first = [(f.code, f.location.path, f.location.line, f.message)
@@ -78,30 +100,13 @@ def test_taint_findings_are_deterministic():
     assert first == second
 
 
-# ------------------------------------------- deep requalification of DET002
-
-
-def test_deep_mode_drops_shallow_det002_in_functions():
-    # Shallow: dead_code_draw's random.random() is a DET002 warning.
-    shallow = LintEngine().lint_paths([CORPUS / "envcfg.py"])
-    assert "DET002" in {f.code for f in shallow.findings}
-
-    # Deep: the call graph proves it unreachable; DET002 is requalified
-    # away and no DET011 replaces it.
-    deep = LintEngine(deep=True, entry_modules=ENTRIES)
-    report = deep.lint_paths([CORPUS])
-    codes_for_envcfg = {
-        f.code for f in report.findings if f.location.path.endswith("envcfg.py")
-    }
-    assert "DET002" not in codes_for_envcfg
-    assert codes_for_envcfg == {"DET012"}
+# ------------------------------------------------- file-local det rules
 
 
 def test_deep_mode_keeps_shallow_det001():
     # DET001 (unseeded generator construction) is a defect regardless of
-    # reachability: the deep pass keeps it as-is.
-    deep = LintEngine(deep=True, entry_modules=ENTRIES)
-    report = deep.lint_paths([CORPUS])
+    # reachability: it is reported where it is written.
+    report = LintEngine(entry_modules=ENTRIES).lint_paths([CORPUS])
     det001 = [f for f in report.findings if f.code == "DET001"]
     assert len(det001) == 1
     assert det001[0].location.path.endswith("rngpool.py")
