@@ -40,6 +40,9 @@ import typing as _t
 
 from repro.analysis.graph import reachable_from
 
+if _t.TYPE_CHECKING:  # pragma: no cover
+    from repro.analysis.determinism import ParsedFile
+
 __all__ = [
     "FunctionInfo",
     "ClassInfo",
@@ -439,7 +442,7 @@ def _default_entry_modules(indexes: "list[_ModuleIndex]") -> "set[str]":
 
 
 def build_call_graph(
-    paths: _t.Iterable["str | pathlib.Path"],
+    paths: _t.Iterable["str | pathlib.Path | ParsedFile"],
     entry_modules: "_t.Collection[str] | None" = None,
 ) -> CallGraph:
     """Index ``*.py`` files under ``paths`` and resolve the call graph.
@@ -449,18 +452,17 @@ def build_call_graph(
     name (:data:`ENTRY_MODULE_PREFIXES` inside the repro package,
     :data:`ENTRY_MODULE_MARKERS` elsewhere).
     """
-    from repro.analysis.determinism import expand_python_paths
+    from repro.analysis.determinism import parse_python_paths
 
     functions: dict[str, FunctionInfo] = {}
     classes: dict[str, ClassInfo] = {}
     indexes: list[_ModuleIndex] = []
-    for file in expand_python_paths(paths):
-        try:
-            tree = ast.parse(file.read_text(), filename=str(file))
-        except SyntaxError:
+    for parsed in parse_python_paths(paths):
+        if parsed.tree is None:
             continue  # DET000 reports this; the graph just skips it
+        file = parsed.path
         index = _ModuleIndex(name=module_name_for(file), path=str(file))
-        _Indexer(index, functions, classes).visit(tree)
+        _Indexer(index, functions, classes).visit(parsed.tree)
         indexes.append(index)
 
     resolver = _Resolver(functions, classes, indexes)

@@ -36,7 +36,11 @@ import pathlib
 import typing as _t
 
 from repro.analysis.callgraph import CallGraph, build_call_graph, module_name_for
-from repro.analysis.determinism import MUTABLE_CONSTRUCTORS, expand_python_paths
+from repro.analysis.determinism import (
+    MUTABLE_CONSTRUCTORS,
+    ParsedFile,
+    parse_python_paths,
+)
 from repro.analysis.findings import Finding, Location, Severity
 from repro.analysis.registry import rule
 
@@ -330,31 +334,30 @@ class _ConcVisitor(ast.NodeVisitor):
 
 
 def _analyze_modules(
-    paths: _t.Sequence["str | pathlib.Path"],
+    files: "_t.Sequence[ParsedFile]",
 ) -> "list[_ModuleConc]":
     modules: list[_ModuleConc] = []
-    for file in expand_python_paths(paths):
-        source = file.read_text()
-        try:
-            tree = ast.parse(source, filename=str(file))
-        except SyntaxError:
+    for parsed in files:
+        if parsed.tree is None:
             continue  # DET000's problem
+        file = parsed.path
         info = _ModuleConc(module=module_name_for(file), path=str(file))
-        _ConcVisitor(info, source.splitlines()).visit(tree)
+        _ConcVisitor(info, parsed.source.splitlines()).visit(parsed.tree)
         modules.append(info)
     return modules
 
 
 def run_concurrency_rules(
-    paths: _t.Sequence["str | pathlib.Path"],
+    paths: _t.Sequence["str | pathlib.Path | ParsedFile"],
     graph: "CallGraph | None" = None,
     entry_modules: "_t.Collection[str] | None" = None,
 ) -> "list[Finding]":
     """Run CONC001-003 over a source tree with call-graph context."""
+    files = parse_python_paths(paths)
     if graph is None:
-        graph = build_call_graph(paths, entry_modules=entry_modules)
+        graph = build_call_graph(files, entry_modules=entry_modules)
     findings: list[Finding] = []
-    for mod in _analyze_modules(paths):
+    for mod in _analyze_modules(files):
         findings.extend(_check_module(mod, graph))
     return findings
 

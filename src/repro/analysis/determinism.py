@@ -21,7 +21,8 @@ judges by reachability: wall-clock reads, stdlib ``random`` draws
 (``random.seed(...)`` and ``random.Random(seed)`` are exempt),
 environment reads (``os.environ`` / ``os.getenv``) and order-sensitive
 iteration (``for x in set(...)``, unsorted ``os.listdir``) — see
-:func:`scan_source`.
+:func:`scan_file`.  :func:`parse_python_paths` reads and parses each
+file once for all three source passes (call graph, det, conc).
 """
 
 from __future__ import annotations
@@ -39,8 +40,11 @@ __all__ = [
     "lint_source",
     "lint_python_paths",
     "is_sim_path",
-    "scan_source",
+    "scan_file",
     "expand_python_paths",
+    "parse_source",
+    "parse_python_paths",
+    "ParsedFile",
     "SourceHit",
 ]
 
@@ -92,6 +96,43 @@ def expand_python_paths(
                 seen.add(file)
                 files.append(file)
     return files
+
+
+@dataclasses.dataclass(frozen=True)
+class ParsedFile:
+    """One Python source read and parsed once, for every source pass."""
+
+    path: "str | pathlib.Path"
+    source: str
+    #: None when the source does not parse; ``error`` then says why
+    tree: "ast.Module | None"
+    error: "SyntaxError | None" = None
+
+
+def parse_source(source: str, path: "str | pathlib.Path") -> ParsedFile:
+    """Parse one source text (a syntax error is kept, not raised)."""
+    try:
+        tree = ast.parse(source, filename=str(path))
+    except SyntaxError as exc:
+        return ParsedFile(path, source, None, exc)
+    return ParsedFile(path, source, tree)
+
+
+def parse_python_paths(
+    paths: _t.Iterable["str | pathlib.Path | ParsedFile"],
+) -> "list[ParsedFile]":
+    """Read and parse every file of :func:`expand_python_paths` once.
+
+    A list of :class:`ParsedFile` passes through unchanged, so the call
+    graph, the det pack and the conc pack can share one parse per file.
+    """
+    items = list(paths)
+    if all(isinstance(item, ParsedFile) for item in items):
+        return items
+    return [
+        parse_source(file.read_text(), file)
+        for file in expand_python_paths(items)
+    ]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -321,15 +362,12 @@ _MESSAGES = {
 TAINT_KINDS = ("wall-clock", "global-rng", "env-read", "unordered-iter")
 
 
-def scan_source(
-    source: str, path: "str | pathlib.Path" = "<string>"
-) -> "tuple[list[Finding], list[SourceHit]]":
-    """Walk one source text once: its file-local findings (DET000,
+def scan_file(parsed: ParsedFile) -> "tuple[list[Finding], list[SourceHit]]":
+    """Walk one parsed file once: its file-local findings (DET000,
     DET001, DET004) and its taint sources (hits whose ``code`` is one
     of :data:`TAINT_KINDS`)."""
-    try:
-        tree = ast.parse(source, filename=str(path))
-    except SyntaxError as exc:
+    path, exc = parsed.path, parsed.error
+    if parsed.tree is None:
         error = Finding(
             code="DET000",
             severity=Severity.ERROR,
@@ -338,8 +376,8 @@ def scan_source(
             suggestion="fix the syntax error before linting",
         )
         return [error], []
-    analyzer = _Analyzer(source.splitlines())
-    analyzer.visit(tree)
+    analyzer = _Analyzer(parsed.source.splitlines())
+    analyzer.visit(parsed.tree)
     sim = is_sim_path(path)
     findings: list[Finding] = []
     sources: list[SourceHit] = []
@@ -370,7 +408,7 @@ def lint_source(
     source: str, path: "str | pathlib.Path" = "<string>"
 ) -> "list[Finding]":
     """The file-local determinism findings for one Python source text."""
-    return scan_source(source, path)[0]
+    return scan_file(parse_source(source, path))[0]
 
 
 def lint_python_paths(
@@ -379,13 +417,13 @@ def lint_python_paths(
     """:func:`lint_source` over files and directories (recursing into
     ``*.py``)."""
     findings: list[Finding] = []
-    for file in expand_python_paths(paths):
-        findings.extend(lint_source(file.read_text(), path=file))
+    for parsed in parse_python_paths(paths):
+        findings.extend(scan_file(parsed)[0])
     return findings
 
 
 # Registered for discoverability (--list-rules, docs); the engine runs
-# scan_source through repro.analysis.taint.run_det_pack since the det
+# scan_file through repro.analysis.taint.run_det_pack since the det
 # pack's subject is a file, not a view.
 def _register_det_rules() -> None:
     specs = [

@@ -26,6 +26,7 @@ from repro.analysis.callgraph import build_call_graph
 from repro.analysis.cluster_rules import run_spec_rules
 from repro.analysis.concurrency_rules import run_concurrency_rules
 from repro.analysis.deployment_rules import run_deployment_rules
+from repro.analysis.determinism import parse_python_paths
 from repro.analysis.findings import Finding, Severity, sort_findings
 from repro.analysis.model import (
     ClusterSpecView,
@@ -158,11 +159,13 @@ class LintEngine:
     def run_sources(
         self, paths: _t.Sequence["str | pathlib.Path"]
     ) -> "list[Finding]":
-        """Python sources: one call graph, then the det pack (file-local
-        DET000/001/004 and taint DET010-013) and the conc pack."""
-        graph = build_call_graph(paths, entry_modules=self.entry_modules)
-        findings = run_det_pack(paths, graph=graph)
-        findings += run_concurrency_rules(paths, graph=graph)
+        """Python sources: one parse per file and one call graph, then
+        the det pack (file-local DET000/001/004 and taint DET010-013) and
+        the conc pack."""
+        files = parse_python_paths(paths)
+        graph = build_call_graph(files, entry_modules=self.entry_modules)
+        findings = run_det_pack(files, graph=graph)
+        findings += run_concurrency_rules(files, graph=graph)
         # DET000 (unparseable source) is no registered rule: always kept.
         return [
             f for f in findings if f.code == "DET000" or self._active(f.code)

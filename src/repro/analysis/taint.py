@@ -8,7 +8,7 @@ reachable from ``WorkflowDriver.run`` or the admission gateway it
 silently makes two same-seed runs diverge.
 
 The pass walks every file once with
-:func:`repro.analysis.determinism.scan_source`, which yields the
+:func:`repro.analysis.determinism.scan_file`, which yields the
 file-local findings (DET000/DET001/DET004) and the taint sources, and
 judges each source against the whole-program
 :class:`~repro.analysis.callgraph.CallGraph`.  A source inside a
@@ -40,7 +40,7 @@ import pathlib
 import typing as _t
 
 from repro.analysis.callgraph import CallGraph, build_call_graph, module_name_for
-from repro.analysis.determinism import expand_python_paths, scan_source
+from repro.analysis.determinism import ParsedFile, parse_python_paths, scan_file
 from repro.analysis.findings import Finding, Location, Severity
 from repro.analysis.registry import rule
 
@@ -78,17 +78,19 @@ _KIND_MESSAGES = {
 
 
 def run_det_pack(
-    paths: _t.Sequence["str | pathlib.Path"],
+    paths: _t.Sequence["str | pathlib.Path | ParsedFile"],
     graph: "CallGraph | None" = None,
     entry_modules: "_t.Collection[str] | None" = None,
 ) -> "list[Finding]":
     """The whole det pack: file-local findings plus DET010-013."""
+    files = parse_python_paths(paths)
     if graph is None:
-        graph = build_call_graph(paths, entry_modules=entry_modules)
+        graph = build_call_graph(files, entry_modules=entry_modules)
     findings: list[Finding] = []
-    for file in expand_python_paths(paths):
-        local, sources = scan_source(file.read_text(), path=file)
+    for parsed in files:
+        local, sources = scan_file(parsed)
         findings += local
+        file = parsed.path
         module = module_name_for(file)
         for hit in sources:
             raw_message, suggestion = _KIND_MESSAGES[hit.code]
@@ -122,7 +124,7 @@ def run_det_pack(
 
 
 def run_taint_analysis(
-    paths: _t.Sequence["str | pathlib.Path"],
+    paths: _t.Sequence["str | pathlib.Path | ParsedFile"],
     graph: "CallGraph | None" = None,
     entry_modules: "_t.Collection[str] | None" = None,
 ) -> "list[Finding]":

@@ -697,36 +697,31 @@ class Cluster:
             weights={name: ns.weight for name, ns in self.namespaces.items()},
         )
         self._pending = []
+        nodes = self.ready_nodes()
+        # Until a bind or a preemption, free capacity within one pass only
+        # shrinks (victims' kills land after it), so a placement key that
+        # found neither a node nor a preemption plan finds none again.
+        hopeless: set[_t.Hashable] = set()
         for pod in queue:
             if pod.is_terminal:  # deleted while queued
                 continue
-            node = self.scheduler.select(pod, self.ready_nodes())
-            if node is None:
-                if pod.spec.priority > 0:
-                    plan = self.scheduler.preemption_plan(
-                        pod, self.ready_nodes()
-                    )
-                    if plan is not None:
-                        target, victims = plan
-                        for victim in victims:
-                            self.record_event(
-                                "Pod",
-                                victim.meta.name,
-                                "Preempted",
-                                f"by {pod.meta.name} on {target.spec.name}",
-                                namespace=victim.meta.namespace,
-                            )
-                            self._count(
-                                "scheduler_preemptions_total",
-                                {"namespace": victim.meta.namespace},
-                            )
-                            self._terminate_pod(
-                                victim, PodPhase.FAILED, reason="Preempted"
-                            )
-                        # The pod stays pending; victim teardown re-kicks
-                        # the scheduler once their resources free up.
+            key = self.scheduler.placement_key(pod)
+            if key in hopeless:
                 self._unschedulable.append(pod)
                 continue
+            node = self.scheduler.select(pod, nodes)
+            if node is None:
+                plan = None
+                if pod.spec.priority > 0:
+                    plan = self.scheduler.preemption_plan(pod, nodes)
+                if plan is None:
+                    hopeless.add(key)
+                else:
+                    hopeless.clear()
+                    self._preempt(pod, *plan)
+                self._unschedulable.append(pod)
+                continue
+            hopeless.clear()
             node.allocate(pod)
             pod.node_name = node.spec.name
             self._record_bind(pod)
@@ -746,6 +741,31 @@ class Cluster:
                 "scheduler_pending_pods",
                 len(self._pending) + len(self._unschedulable),
             )
+
+    def _preempt(self, pod: Pod, target: Node, victims: list[Pod]) -> None:
+        """Evict ``victims`` from ``target`` to make room for ``pod``.
+
+        The pod stays pending; victim teardown re-kicks the scheduler
+        once their resources free up.  A victim stays on its node until
+        its kill lands, so a later pod in the same pass may plan onto it
+        again: a victim already being terminated is skipped, so each
+        eviction is recorded and counted once.
+        """
+        for victim in victims:
+            if victim._terminating:
+                continue
+            self.record_event(
+                "Pod",
+                victim.meta.name,
+                "Preempted",
+                f"by {pod.meta.name} on {target.spec.name}",
+                namespace=victim.meta.namespace,
+            )
+            self._count(
+                "scheduler_preemptions_total",
+                {"namespace": victim.meta.namespace},
+            )
+            self._terminate_pod(victim, PodPhase.FAILED, reason="Preempted")
 
     def _record_bind(self, pod: Pod) -> None:
         """Scheduler throughput/latency instrumentation for one bind."""
@@ -910,6 +930,7 @@ class Cluster:
         """Forcibly stop a scheduled/running pod (deletion, node loss)."""
         runner = pod._process
         if runner is not None and runner.is_alive:
+            pod._terminating = True
             runner.interrupt(cause=reason)
         else:  # bound but runner finished — defensive
             if not pod.is_terminal:

@@ -94,14 +94,18 @@ class Node:
 
     @property
     def free(self) -> ResourceRequirements:
-        """Unallocated capacity."""
-        return ResourceRequirements(
-            cpu=self.capacity.cpu - self.allocated.cpu,
-            memory=self.capacity.memory - self.allocated.memory,
-            gpu=self.capacity.gpu - self.allocated.gpu,
-            ephemeral_storage=(
-                self.capacity.ephemeral_storage - self.allocated.ephemeral_storage
-            ),
+        """Unallocated capacity.
+
+        CPU clamps at zero, as in :meth:`release`: ``fits_within`` admits
+        a request up to 1e-9 cores over the free CPU, so the allocated
+        sum may exceed capacity by a rounding error.
+        """
+        capacity, allocated = self.capacity, self.allocated
+        return ResourceRequirements._from_numbers(
+            max(0.0, capacity.cpu - allocated.cpu),
+            capacity.memory - allocated.memory,
+            capacity.gpu - allocated.gpu,
+            capacity.ephemeral_storage - allocated.ephemeral_storage,
         )
 
     def can_fit(self, request: ResourceRequirements) -> bool:

@@ -68,12 +68,34 @@ class ResourceRequirements:
         self.gpu = int(gpu)
         self.ephemeral_storage = parse_memory(ephemeral_storage)
 
+    @classmethod
+    def _from_numbers(
+        cls, cpu: float, memory: int, gpu: int, ephemeral_storage: int
+    ) -> "ResourceRequirements":
+        """Build from numbers that already have the attribute types (float
+        cores, int bytes and GPUs), such as sums of existing requests.
+
+        Skips quantity parsing but keeps its rounding of byte counts
+        through float, so the result equals
+        ``ResourceRequirements(cpu, memory, gpu, ephemeral_storage)``.  A
+        negative value goes through ``__init__``, which raises its usual
+        error.
+        """
+        if cpu < 0 or memory < 0 or gpu < 0 or ephemeral_storage < 0:
+            return cls(cpu, memory, gpu, ephemeral_storage)
+        self = object.__new__(cls)
+        self.cpu = cpu
+        self.memory = int(float(memory))
+        self.gpu = gpu
+        self.ephemeral_storage = int(float(ephemeral_storage))
+        return self
+
     def __add__(self, other: "ResourceRequirements") -> "ResourceRequirements":
-        return ResourceRequirements(
-            cpu=self.cpu + other.cpu,
-            memory=self.memory + other.memory,
-            gpu=self.gpu + other.gpu,
-            ephemeral_storage=self.ephemeral_storage + other.ephemeral_storage,
+        return ResourceRequirements._from_numbers(
+            self.cpu + other.cpu,
+            self.memory + other.memory,
+            self.gpu + other.gpu,
+            self.ephemeral_storage + other.ephemeral_storage,
         )
 
     def fits_within(self, other: "ResourceRequirements") -> bool:

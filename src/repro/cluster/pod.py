@@ -172,7 +172,7 @@ class PodSpec:
 
     def total_request(self) -> ResourceRequirements:
         """Sum of all containers' requests (what the scheduler reserves)."""
-        total = ResourceRequirements()
+        total = ResourceRequirements._from_numbers(0.0, 0, 0, 0)
         for container in self.containers:
             total = total + container.resources
         return total
@@ -198,6 +198,9 @@ class Pod:
         self.owner_uid: str | None = None  # controller (Job/ReplicaSet) uid
         self.last_heartbeat: float = 0.0
         self._process: "Process | None" = None
+        #: set once the cluster has sent the kubelet its kill, which
+        #: lands asynchronously
+        self._terminating = False
 
     @property
     def is_terminal(self) -> bool:

@@ -99,6 +99,30 @@ class Scheduler:
             return FilterResult(node, False, "insufficient resources")
         return FilterResult(node, True)
 
+    def placement_key(self, pod: Pod) -> _t.Hashable:
+        """The pod's signature for the cluster's per-pass infeasibility memo.
+
+        Two pods with equal keys must get the same answer from
+        :meth:`filter_node` on every node and from
+        :meth:`preemption_plan`, so the key must cover every pod field
+        those methods read: here priority, total request, node selector
+        and tolerations.  A subclass whose filter or preemption code
+        reads any other pod field must override this to include it.
+        Score inputs (images) may be left out, since only infeasible
+        outcomes are memoised.
+        """
+        spec = pod.spec
+        request = spec.total_request()
+        return (
+            spec.priority,
+            request.cpu,
+            request.memory,
+            request.gpu,
+            request.ephemeral_storage,
+            frozenset(spec.node_selector.items()),
+            frozenset(spec.tolerations),
+        )
+
     def feasible_nodes(self, pod: Pod, nodes: _t.Iterable[Node]) -> list[Node]:
         """All nodes passing the filter phase."""
         return [r.node for n in nodes if (r := self.filter_node(pod, n)).feasible]

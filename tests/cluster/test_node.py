@@ -1,6 +1,10 @@
 """Unit tests for nodes, FIONA specs, and resource accounting."""
 
+import dataclasses
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.cluster import (
     Node,
@@ -12,7 +16,7 @@ from repro.cluster import (
     fiona_node_spec,
 )
 from repro.cluster.quantity import GiB
-from repro.errors import ClusterError
+from repro.errors import ClusterError, InvalidQuantityError
 from tests.cluster.conftest import sleeper_spec
 
 
@@ -77,6 +81,13 @@ class TestNodeAccounting:
         with pytest.raises(ClusterError):
             node.allocate(make_pod(cpu=25))
 
+    def test_free_after_within_tolerance_cpu_overshoot(self):
+        # fits_within allows 1e-9 cores over; 0.2 + 0.1 > 0.3 in floats.
+        node = Node(NodeSpec(name="n", cpu=0.3, memory=GiB))
+        node.allocate(make_pod("a", cpu=0.2, memory=0))
+        node.allocate(make_pod("b", cpu=0.1, memory=0))
+        assert node.free.cpu == 0.0
+
     def test_gpu_overcommit_rejected(self):
         node = Node(fiona8_node_spec("n"))
         node.allocate(make_pod("a", gpu=8))
@@ -136,3 +147,67 @@ class TestResourceRequirements:
     def test_fractional_gpu_rejected(self):
         with pytest.raises(ValueError):
             ResourceRequirements(gpu=0.5)
+
+
+_cpus = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
+_bytes = st.integers(min_value=0, max_value=2**60)
+_gpus = st.integers(min_value=0, max_value=64)
+
+
+class TestParseFreeArithmetic:
+    """Sums and node free capacity skip quantity parsing; the results must
+    equal what the parsing constructor builds from the same numbers."""
+
+    @given(_cpus, _bytes, _gpus, _bytes, _cpus, _bytes, _gpus, _bytes)
+    def test_sum_equals_parsed(self, c1, m1, g1, e1, c2, m2, g2, e2):
+        a = ResourceRequirements(c1, m1, g1, e1)
+        b = ResourceRequirements(c2, m2, g2, e2)
+        total = a + b
+        parsed = ResourceRequirements(c1 + c2, m1 + m2, g1 + g2, e1 + e2)
+        assert total == parsed
+        assert type(total.cpu) is float and type(total.memory) is int
+        assert type(total.gpu) is int and type(total.ephemeral_storage) is int
+
+    @given(st.lists(st.tuples(_cpus, _bytes, _gpus), min_size=1, max_size=4))
+    def test_total_request_equals_parsed_sum(self, requests):
+        spec = sleeper_spec()
+        spec.containers = [
+            dataclasses.replace(
+                spec.containers[0],
+                name=f"c{i}",
+                resources=ResourceRequirements(cpu=c, memory=m, gpu=g),
+            )
+            for i, (c, m, g) in enumerate(requests)
+        ]
+        parsed = ResourceRequirements()
+        for cpu, mem, gpu in requests:
+            parsed = ResourceRequirements(
+                parsed.cpu + cpu, parsed.memory + mem, parsed.gpu + gpu
+            )
+        assert spec.total_request() == parsed
+
+    def test_free_equals_parsed(self):
+        node = Node(fiona8_node_spec("n"))
+        node.allocate(make_pod(cpu="1500m", memory="3Gi", gpu=2))
+        cap, used = node.capacity, node.allocated
+        assert node.free == ResourceRequirements(
+            cap.cpu - used.cpu,
+            cap.memory - used.memory,
+            cap.gpu - used.gpu,
+            cap.ephemeral_storage - used.ephemeral_storage,
+        )
+
+    @pytest.mark.parametrize(
+        "fields, error, message",
+        [
+            ((-0.5, 0, 0, 0), InvalidQuantityError, "negative CPU quantity: -0.5"),
+            ((0.0, -1, 0, 0), InvalidQuantityError, "negative memory quantity: -1"),
+            ((0.0, 0, -1, 0), ValueError, "non-negative int: -1"),
+            ((0.0, 0, 0, -2), InvalidQuantityError, "negative memory quantity: -2"),
+        ],
+    )
+    def test_negative_values_raise_as_parsed(self, fields, error, message):
+        with pytest.raises(error, match=message):
+            ResourceRequirements(*fields)
+        with pytest.raises(error, match=message):
+            ResourceRequirements._from_numbers(*fields)

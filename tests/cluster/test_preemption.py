@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster import Cluster, JobSpec, PodPhase, fiona8_node_spec, fiona_node_spec
+from repro.monitoring.metrics import MetricRegistry
 from repro.sim import Environment
 from tests.cluster.conftest import sleeper_spec
 
@@ -166,3 +167,30 @@ class TestPreemption:
         env.run(until=60)
         assert holder.phase is PodPhase.RUNNING
         assert default_prio.phase is PodPhase.PENDING
+
+    def test_victim_shared_by_two_plans_counts_once(self, env):
+        """Two urgent pods in one pass plan onto the same victim, which
+        stays on its node until its kill lands: it is preempted,
+        recorded and counted once."""
+        cluster = Cluster(env)
+        cluster.metrics = MetricRegistry(env)
+        cluster.add_node(fiona8_node_spec("gpu-a"))
+        low = [
+            cluster.create_pod(f"low-{i}", sleeper_spec(duration=1e6, gpu=1))
+            for i in range(8)
+        ]
+        env.run(until=30)
+        urgent = []
+        for i in range(2):
+            spec = sleeper_spec(duration=10, gpu=1)
+            spec.priority = 100
+            urgent.append(cluster.create_pod(f"urgent-{i}", spec))
+        env.run(until=100)
+        assert all(p.phase is PodPhase.SUCCEEDED for p in urgent)
+        preempted = [p for p in low if p.termination_reason == "Preempted"]
+        assert [p.meta.name for p in preempted] == ["low-0", "low-1"]
+        events = [e for e in cluster.events_for("Pod") if e.reason == "Preempted"]
+        assert [e.name for e in events] == ["low-0", "low-1"]
+        assert cluster.metrics.counter_sum("scheduler_preemptions_total") == len(
+            preempted
+        )
